@@ -14,7 +14,7 @@ from math import comb
 from typing import Iterable, Iterator, Union
 
 from .coefficients import c_coeff, faa_di_bruno_coeff
-from .partitions import DEFAULT_WEIGHT_CAP, enumerate_constrained, enumerate_partitions
+from .partitions import DEFAULT_WEIGHT_CAP, enumerate_constrained
 
 # sparse exponent map: ((index, exponent), ...) ascending by index, exponents >= 1
 Exps = tuple[tuple[int, int], ...]
@@ -176,9 +176,8 @@ def partial_bell(n: int, k: int) -> YPolynomial:
     if n < 0 or k < 0 or k > n:
         return YPolynomial.zero()
     terms = {}
-    for lam in enumerate_partitions(n):
-        if lam.length == k:
-            terms[lam.items()] = faa_di_bruno_coeff(lam)
+    for lam in enumerate_constrained(n, 0, 0, length=k):
+        terms[lam.items()] = faa_di_bruno_coeff(lam)
     return YPolynomial(terms)
 
 
@@ -203,9 +202,8 @@ def modified_partial_bell(
     if n < 0 or k < 0 or r < 0 or k > n or r > k:
         return YPolynomial.zero()
     terms = {}
-    for lam in enumerate_constrained(n, r, s, cap=cap):
-        if lam.length == k:
-            terms[lam.items()] = c_coeff(lam, r, s)
+    for lam in enumerate_constrained(n, r, s, cap=cap, length=k):
+        terms[lam.items()] = c_coeff(lam, r, s)
     return YPolynomial(terms)
 
 
@@ -273,9 +271,8 @@ def modified_stirling(n: int, k: int, r: int) -> int:
     if n < 0 or k < 0 or r < 0 or k > n or r > k:
         return 0
     total = 0
-    for lam in enumerate_partitions(n):
-        if lam.length == k:
-            total += c_coeff(lam, r, 0)
+    for lam in enumerate_constrained(n, 0, 0, length=k):
+        total += c_coeff(lam, r, 0)
     return total
 
 

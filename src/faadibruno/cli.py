@@ -1,8 +1,9 @@
 """Command-line front end: partition listings, coefficient tables, expansions,
 Bell/Stirling output, concrete checks, and the verification suites.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including
-cap violations).  Output is byte-deterministic for identical flags and seed.
+Exit codes: 0 success, 1 verification failure, 2 usage or resource error
+(including cap violations and an unwritable --out file).  Output is
+byte-deterministic for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+from typing import Iterable
 
 from . import verification
 from .bell import StirlingTable, modified_partial_bell
@@ -96,16 +99,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    # UTF-8 bytes straight to stdout or the file: byte-deterministic and locale-proof
+    data = (chunk.encode("utf-8") for chunk in chunks)
+    if out is None:
+        sys.stdout.buffer.writelines(data)
+        sys.stdout.flush()
+    else:
+        with open(out, "wb") as handle:
+            handle.writelines(data)
+
+
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out is None:
-        # bytes straight to stdout: byte-deterministic and locale-proof
-        sys.stdout.buffer.write(text.encode("utf-8"))
-        sys.stdout.flush()
-    else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    _write((text,), out)
 
 
 def _json_text(data) -> str:
@@ -113,21 +121,26 @@ def _json_text(data) -> str:
 
 
 def _cmd_partitions(args) -> int:
-    parts = list(enumerate_partitions(args.n, cap=args.cap))
+    parts = enumerate_partitions(args.n, cap=args.cap)
     if args.format == "json":
+        # the header carries the count, so this listing is materialized
+        parts = list(parts)
         text = _json_text(
             {"n": args.n, "count": len(parts), "partitions": [p.to_json_dict() for p in parts]}
         )
-    elif args.format == "csv":
-        text = "\n".join(" ".join(str(a) for a in p.parts) for p in parts)
+        _emit(text, args.out)
+        return 0
+    if args.format == "csv":
+        lines = (" ".join(str(a) for a in p.parts) for p in parts)
     elif args.format == "latex":
-        rows = [("+".join(str(a) for a in p.parts) or "0") for p in parts]
-        text = "\n".join(
-            [r"\begin{tabular}{l}", *[rf"${row}$ \\" for row in rows], r"\end{tabular}"]
+        rows = (("+".join(str(a) for a in p.parts) or "0") for p in parts)
+        lines = chain(
+            [r"\begin{tabular}{l}"], (rf"${row}$ \\" for row in rows), [r"\end{tabular}"]
         )
     else:
-        text = "\n".join(("+".join(str(a) for a in p.parts) or "0") for p in parts)
-    _emit(text, args.out)
+        lines = (("+".join(str(a) for a in p.parts) or "0") for p in parts)
+    # streamed line by line: memory stays flat however many partitions there are
+    _write((line + "\n" for line in lines), args.out)
     return 0
 
 
@@ -244,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,17 +83,22 @@ class Partition:
             mults[a] = mults.get(a, 0) + 1
         self._finish(mults)
 
-    def _finish(self, mults: dict[int, int]) -> None:
+    def _finish(
+        self, mults: dict[int, int], weight: int | None = None, length: int | None = None
+    ) -> None:
         self._mults = mults
         self._items = tuple(sorted(mults.items()))
-        self._weight = sum(i * m for i, m in mults.items())
-        self._length = sum(mults.values())
+        self._weight = sum(i * m for i, m in mults.items()) if weight is None else weight
+        self._length = sum(mults.values()) if length is None else length
 
     @classmethod
-    def _from_mults(cls, mults: dict[int, int]) -> "Partition":
-        # internal fast path: mults must already be canonical (keys >= 1, values >= 1)
+    def _from_mults(
+        cls, mults: dict[int, int], weight: int | None = None, length: int | None = None
+    ) -> "Partition":
+        # internal fast path: mults must already be canonical (keys >= 1, values >= 1);
+        # a caller that knows the weight or length passes it instead of a re-summation
         p = object.__new__(cls)
-        p._finish(mults)
+        p._finish(mults, weight, length)
         return p
 
     # -- basic parameters ---------------------------------------------------
@@ -183,7 +188,7 @@ class Partition:
             del mults[j]
         else:
             mults[j] -= 1
-        return Partition._from_mults(mults)
+        return Partition._from_mults(mults, self._weight - j, self._length - 1)
 
     def decrement_part(self, j: int) -> "Partition":
         """Turn one part equal to j into j - 1, dropping it entirely when j = 1."""
@@ -196,7 +201,8 @@ class Partition:
             mults[j] -= 1
         if j > 1:
             mults[j - 1] = mults.get(j - 1, 0) + 1
-        return Partition._from_mults(mults)
+            return Partition._from_mults(mults, self._weight - 1, self._length)
+        return Partition._from_mults(mults, self._weight - 1, self._length - 1)
 
     # -- serialization and protocol support ----------------------------------
 
@@ -227,14 +233,80 @@ def make_partition(parts: Iterable[int]) -> Partition:
     return Partition(parts)
 
 
-def _descending_sequences(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    # summand sequences of n with parts <= largest, in decreasing lexicographic order
-    if n == 0:
-        yield ()
+def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Partition]:
+    # Partitions of total with at least r parts greater than s (and exactly
+    # `length` parts unless None), in decreasing lexicographic order of the
+    # summand sequence.  A depth-first walk over the parts, largest first, kept
+    # on an explicit stack; it only places a part from which some partition in
+    # the sequence is still reachable, so its cost is proportional to the
+    # output.  With `need` parts greater than s still missing and `slots`
+    # parts still to place, a subtree is reachable exactly when
+    #     need*(s+1) + (slots - need) <= rem <= slots * largest
+    # (and largest > s while need > 0).  So the next part lies in
+    # [s+1, rem - (need-1)*(s+1) - (slots-need)] while need > 0, and is at
+    # least ceil(rem / slots); without a length, drop the slot terms.  A
+    # trailing run of 1s is placed in one step, which keeps the walk O(1)
+    # amortized per partition.
+    if length is None:
+        if r * (s + 1) > total:
+            return
+    elif r > length or r * s + length > total or (length == 0) != (total == 0):
         return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _descending_sequences(n - first, first):
-            yield (first,) + rest
+    step = s + 1
+    mults: dict[int, int] = {}
+    parts: list[int] = []  # the placed parts greater than 1, decreasing
+    lows: list[int] = []  # the smallest admissible value of each placed part
+    rem, above, ones = total, 0, 0
+    pending = 0  # after backtracking: the next value of the part just removed
+    while True:
+        while rem:
+            if pending:
+                part, pending = pending, 0
+            else:
+                need = r - above
+                if length is None:
+                    spare, lo = 0, 1
+                else:
+                    slots = length - len(parts)
+                    spare, lo = slots - max(need, 1), -(-rem // slots)
+                part = rem - spare
+                if need > 0:
+                    part -= (need - 1) * step
+                    lo = max(lo, step)
+                if parts and part > parts[-1]:
+                    part = parts[-1]
+            if part == 1:
+                ones = mults[1] = rem
+                rem = 0
+                break
+            parts.append(part)
+            lows.append(lo)
+            mults[part] = mults.get(part, 0) + 1
+            rem -= part
+            if part > s:
+                above += 1
+        # a fresh dict: dict(mults) would copy the working dict's larger table
+        yield Partition._from_mults(
+            {i: m for i, m in mults.items()}, total, len(parts) + ones
+        )
+        if ones:
+            del mults[1]
+            rem, ones = ones, 0
+        while parts:
+            part = parts.pop()
+            lo = lows.pop()
+            if mults[part] == 1:
+                del mults[part]
+            else:
+                mults[part] -= 1
+            rem += part
+            if part > s:
+                above -= 1
+            if part > lo:
+                pending = part - 1
+                break
+        else:
+            return
 
 
 def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Partition]:
@@ -243,20 +315,25 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Part
         raise ValueError("cannot partition a negative integer")
     if n > cap:
         raise CapExceeded(f"weight {n} exceeds the cap {cap}")
-    return (Partition(seq) for seq in _descending_sequences(n, n))
+    return _descending(n, 0, 0, None)
 
 
 def enumerate_constrained(
-    n: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP
+    n: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP, length: int | None = None
 ) -> Iterator[Partition]:
     """Partitions of n + r*s having at least r parts greater than s.
 
     Same order as :func:`enumerate_partitions`.  The sequence is empty
     whenever r > n, since r parts greater than s already weigh r*(s+1).
+    With *length* set, only the partitions with exactly that many parts are
+    produced.  The cost is proportional to the partitions produced, not to
+    all partitions of n + r*s.
     """
     if n < 0 or r < 0 or s < 0:
         raise ValueError("n, r, s must be non-negative")
+    if length is not None and length < 0:
+        raise ValueError("length must be non-negative")
     weight = n + r * s
     if weight > cap:
         raise CapExceeded(f"weight {weight} exceeds the cap {cap}")
-    return (lam for lam in enumerate_partitions(weight, cap) if lam.length_above(s) >= r)
+    return _descending(weight, r, s, length)

@@ -5,6 +5,41 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 
+@lru_cache(maxsize=None)
+def partitions_by_multiplicities(n):
+    """Every partition of n as a decreasing tuple, in no particular order.
+
+    Built by choosing a multiplicity for each part size n, n-1, ..., 1 in
+    turn, so it shares nothing with the package's descending-parts walk.
+    """
+    found = []
+
+    def choose(size, remaining, prefix):
+        if remaining == 0:
+            found.append(prefix)
+            return
+        if size == 0:
+            return
+        for m in range(remaining // size + 1):
+            choose(size - 1, remaining - m * size, prefix + (size,) * m)
+
+    choose(n, n, ())
+    return tuple(found)
+
+
+def constrained_reference(n, r, s, length=None):
+    """Partitions of n + r*s with at least r parts greater than s (and exactly
+    *length* parts unless None), sorted in decreasing lexicographic order."""
+    return sorted(
+        (
+            parts
+            for parts in partitions_by_multiplicities(n + r * s)
+            if sum(a > s for a in parts) >= r and (length is None or len(parts) == length)
+        ),
+        reverse=True,
+    )
+
+
 def partition_count_dp(n_max):
     """p(0..n_max) by the coin-counting DP over part sizes."""
     counts = [0] * (n_max + 1)

@@ -1,8 +1,13 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from faadibruno.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -133,3 +138,47 @@ def test_out_file_matches_stdout(tmp_path):
     run_cli("coeff", "--n", "2", "--s", "1", "--format", "json", "--out", str(target))
     direct = run_cli("coeff", "--n", "2", "--s", "1", "--format", "json")
     assert target.read_text(encoding="utf-8") == direct.stdout
+
+
+# sha256 of `partitions --n N --format F` stdout, recorded before listings streamed
+PARTITION_LISTING_SHA256 = {
+    (0, "json"): "509b2e063f61de7523e9ccee71446c7e1317138f314753b9f19e62ae2fd6a9b6",
+    (0, "csv"): "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b",
+    (0, "latex"): "12318b90b7605a29271fd3076af4bac083deb568ed3eb5d5e27be6c5c75ce287",
+    (0, "pretty"): "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    (1, "json"): "357149f1b710bf43c1984980c4fb44caef04290aa386aa1987332293e911c1d8",
+    (1, "csv"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    (1, "latex"): "66141a73bc411e73113b61984eca2bdee822bd4a2ca613116dd51b7c64edc714",
+    (1, "pretty"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    (12, "json"): "b84ba4521d8ddff27c2b4708c1b3627f7b8726473ad0fa0d6e6ac7aab2c3dd4c",
+    (12, "csv"): "7b9d9e2e04af5d1906b33f92846fc6f688cccde84c2684cf5780237077e90d6f",
+    (12, "latex"): "fbe4068f487491f6354777fc9aedc643fe8278dd416f2d43dd9c137163900685",
+    (12, "pretty"): "cf1f0e63ba24ef5ed086b382b0053836552b4ef0828747f904a08ee18c23fd15",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(PARTITION_LISTING_SHA256))
+def test_partitions_listing_bytes_unchanged(n, fmt, tmp_path, capsysbinary):
+    argv = ["partitions", "--n", str(n), "--format", fmt]
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert hashlib.sha256(stdout).hexdigest() == PARTITION_LISTING_SHA256[(n, fmt)]
+    target = tmp_path / "listing"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partitions", "--n", "3", "--format", "csv"],  # streamed listing
+        ["partitions", "--n", "3", "--format", "json"],  # materialized listing
+        ["coeff", "--n", "2", "--s", "1"],
+    ],
+)
+def test_unwritable_out_exits_2(argv, tmp_path):
+    target = tmp_path / "missing" / "listing"
+    proc = run_cli(*argv, "--out", str(target), expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from faadibruno.partitions import (
     CapExceeded,
@@ -9,7 +11,7 @@ from faadibruno.partitions import (
     make_partition,
 )
 
-from helpers import partition_count_dp
+from helpers import constrained_reference, partition_count_dp
 
 
 def test_make_partition_counts_multiplicities():
@@ -114,6 +116,49 @@ def test_enumerate_constrained_is_filtered_enumeration():
                     assert direct == []
 
 
+def _listing(partitions):
+    return [(lam.parts, lam.weight, lam.length) for lam in partitions]
+
+
+def _expected(sequences):
+    return [(parts, sum(parts), len(parts)) for parts in sequences]
+
+
+def test_enumerate_constrained_matches_brute_force_in_order():
+    # the output-sensitive walk must produce exactly the filtered reference
+    # list, in the same decreasing lexicographic order, with the same metadata
+    for n in range(13):
+        for r in range(n + 1):
+            for s in range(5):
+                weight = n + r * s
+                if weight > 40:
+                    continue
+                reference = constrained_reference(n, r, s)
+                assert _listing(enumerate_constrained(n, r, s)) == _expected(reference)
+                for k in range(weight + 2):
+                    with_k = [parts for parts in reference if len(parts) == k]
+                    got = _listing(enumerate_constrained(n, r, s, length=k))
+                    assert got == _expected(with_k), (n, r, s, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 14),
+    r=st.integers(0, 15),
+    s=st.integers(0, 6),
+    length=st.none() | st.integers(0, 32),
+)
+def test_enumerate_constrained_property(n, r, s, length):
+    assume(n + r * s <= 30)
+    got = _listing(enumerate_constrained(n, r, s, length=length))
+    assert got == _expected(constrained_reference(n, r, s, length))
+
+
+def test_enumerate_constrained_rejects_negative_length():
+    with pytest.raises(ValueError):
+        list(enumerate_constrained(3, 1, 0, length=-1))
+
+
 def test_truncate_above():
     assert make_partition([2, 1]).truncate_above(1) == make_partition([2])
     assert make_partition([1, 1]).truncate_above(1) == make_partition([])
@@ -200,6 +245,28 @@ def test_modification_parameter_laws_exhaustive():
                     assert lowered.multiplicity(i) == expected
                 if j == 1:
                     assert lowered == removed
+
+
+def _same_partition(fast, parts):
+    rebuilt = Partition(parts)
+    assert fast.weight == rebuilt.weight
+    assert fast.length == rebuilt.length
+    assert fast.items() == rebuilt.items()
+    assert fast == rebuilt
+    assert hash(fast) == hash(rebuilt)
+
+
+def test_modification_metadata_matches_rebuilt_partition():
+    # enumeration, remove_part and decrement_part pass weight and length on
+    # instead of re-summing them; each must agree with a from-scratch build
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            _same_partition(lam, lam.parts)
+            for j, _m in lam.items():
+                rest = list(lam.parts)
+                rest.remove(j)
+                _same_partition(lam.remove_part(j), rest)
+                _same_partition(lam.decrement_part(j), rest + ([j - 1] if j > 1 else []))
 
 
 def test_parts_roundtrip():
