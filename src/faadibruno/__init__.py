@@ -52,10 +52,6 @@ from .partitions import (
 from .polynomials import (
     RationalPolynomial,
     check_main_theorem,
-    poly_add,
-    poly_compose,
-    poly_derivative,
-    poly_mul,
     random_polynomial,
     run_random_checks,
 )

@@ -257,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     except CrossCheckError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

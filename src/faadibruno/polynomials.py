@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .diffalg import DiffPolynomial, formula_expansion
@@ -21,17 +21,33 @@ Coeffs = Iterable[Union[Fraction, int, str]]
 class RationalPolynomial:
     """Univariate polynomial with exact rational coefficients (index = degree).
 
-    Canonical form never stores a trailing zero; the zero polynomial has an
-    empty coefficient tuple and degree -1.
+    Stored as integer numerators over one positive common denominator, the
+    content/primitive-part form of FLINT's ``fmpq_poly``.  Canonical form never
+    stores a trailing zero numerator and has ``gcd(den, *num) == 1``; the zero
+    polynomial is ``((), 1)`` and has degree -1.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Coeffs = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        canon = self._make([c.numerator * (den // c.denominator) for c in cs], den)
+        self._num, self._den = canon._num, canon._den
+
+    @classmethod
+    def _make(cls, num: list[int], den: int) -> "RationalPolynomial":
+        """The canonical polynomial num / den (den > 0); consumes num."""
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        p = object.__new__(cls)
+        p._num = tuple(num)
+        p._den = den
+        return p
 
     @classmethod
     def from_string(cls, text: str) -> "RationalPolynomial":
@@ -43,67 +59,64 @@ class RationalPolynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(x, self._den) for x in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def to_strings(self) -> list[str]:
-        return [str(c) for c in self._coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         return f"RationalPolynomial([{', '.join(self.to_strings())}])"
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, b = self._coeffs, other._coeffs
+        a, da, b, db = self._num, self._den, other._num, other._den
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RationalPolynomial(out)
+            a, da, b, db = b, db, a, da
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = [x * fa for x in a]
+        for i, y in enumerate(b):
+            out[i] += y * fb
+        return self._make(out, den)
 
     def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self._coeffs])
+        return self._make([-x for x in self._num], self._den)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + (-other)
 
-    def _int_form(self) -> tuple[list[int], int]:
-        # common-denominator view for integer convolution
-        den = lcm(*(c.denominator for c in self._coeffs)) if self._coeffs else 1
-        return [int(c * den) for c in self._coeffs], den
-
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
+        a, b = self._num, other._num
+        if not a or not b:
             return RationalPolynomial()
-        a, da = self._int_form()
-        b, db = other._int_form()
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        den = da * db
-        return RationalPolynomial(Fraction(v, den) for v in out)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return self._make(out, self._den * other._den)
 
     def scale(self, factor: Union[Fraction, int]) -> "RationalPolynomial":
         factor = Fraction(factor)
-        return RationalPolynomial(c * factor for c in self._coeffs)
+        return self._make(
+            [x * factor.numerator for x in self._num], self._den * factor.denominator
+        )
 
     def __pow__(self, exponent: int) -> "RationalPolynomial":
         if exponent < 0:
@@ -121,8 +134,8 @@ class RationalPolynomial:
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         """self(inner(t)), by Horner evaluation in the polynomial ring."""
         result = RationalPolynomial()
-        for c in reversed(self._coeffs):
-            result = result * inner + RationalPolynomial([c])
+        for x in reversed(self._num):
+            result = result * inner + self._make([x], self._den)
         return result
 
     def derivative(self, order: int = 1) -> "RationalPolynomial":
@@ -130,24 +143,8 @@ class RationalPolynomial:
             raise ValueError("derivative order must be non-negative")
         p = self
         for _ in range(order):
-            p = RationalPolynomial(i * c for i, c in enumerate(p._coeffs) if i)
+            p = self._make([i * x for i, x in enumerate(p._num) if i], p._den)
         return p
-
-
-def poly_add(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    return p + q
-
-
-def poly_mul(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    return p * q
-
-
-def poly_compose(p: RationalPolynomial, q: RationalPolynomial) -> RationalPolynomial:
-    return p.compose(q)
-
-
-def poly_derivative(p: RationalPolynomial, order: int = 1) -> RationalPolynomial:
-    return p.derivative(order)
 
 
 class FormulaInstantiator:

@@ -62,10 +62,9 @@ def subtract_transform(b: Multiset, l_value: int, c: int, r_max: int) -> Element
         raise ValueError("r_max must be non-negative")
     e = elementary_moments(b, r_max)
     out = [e[0]]
+    correction = 0  # sum_{k=1..r} (-l_value)^(k-1) e_{r-k}, carried from r - 1
     for r in range(1, r_max + 1):
-        correction = 0
-        for k in range(1, r + 1):
-            correction += (-l_value) ** (k - 1) * e[r - k]
+        correction = e[r - 1] - l_value * correction
         out.append(e[r] - c * correction)
     return tuple(out)
 

@@ -1,5 +1,6 @@
 """Test-side oracles, implemented independently of the package under test."""
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
@@ -111,3 +112,40 @@ def shifted_subpartition_sum(lam, s, r):
         return total
 
     return descend(0, r)
+
+
+def fraction_poly_trim(coeffs):
+    """Coefficient list (lowest degree first) as Fractions, trailing zeros dropped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def fraction_poly_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return fraction_poly_trim(out)
+
+
+def fraction_poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fraction_poly_trim(out)
+
+
+def fraction_poly_derivative(a):
+    return fraction_poly_trim([i * c for i, c in enumerate(a)][1:])
+
+
+def fraction_poly_eval(a, t):
+    """a(t) summed term by term, with no Horner scheme."""
+    t = Fraction(t)
+    return sum((c * t**i for i, c in enumerate(a)), Fraction(0))

@@ -182,3 +182,31 @@ def test_unwritable_out_exits_2(argv, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_deep_recursion_exits_2():
+    proc = run_cli("coeff", "--n", "1", "--s", "1500", "--cap", "5000", "--verify", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+# sha256 of `check ...` stdout, recorded before polynomials became integer
+# numerators over one common denominator; every coefficient prints as reduced p/q
+CHECK_REPORT_SHA256 = {
+    "--f 0,0,1 --g 0,1 --phi 0,0,1 --n 2 --s 1":
+        "f38ee269bddf89a263b180fa48afa5ab40a796cb63a6ff5022e6f09cf5c03115",
+    "--f 1,2/3,0,5 --g 0,1/2 --phi 1/3,1,1 --n 3 --s 1":
+        "03905028e57584c0427efefc1ae80082b18a6e196bdb8ebb0b64398be834c23f",
+    "--f 1,2/3,0,5 --g 0,1/2 --phi 1/3,1/2,1 --n 3 --s 1":
+        "697ddf131a291c057e673b564d18268987f96551647b6ff6bacc5fec5b053921",
+    "--f 1,2/3,0,5 --g 0,1/2 --phi 1/3,1,1 --n 0 --s 2":
+        "52b2256492d8bf0fb3004d3b9966f23bd58bb1ee7870ebc3970a0e1b89112075",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CHECK_REPORT_SHA256))
+def test_check_report_bytes_unchanged(args, capsysbinary):
+    assert main(["check", *args.split()]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert hashlib.sha256(stdout).hexdigest() == CHECK_REPORT_SHA256[args]

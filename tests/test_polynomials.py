@@ -1,17 +1,24 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faadibruno.polynomials import (
     RationalPolynomial,
     check_main_theorem,
-    poly_add,
-    poly_compose,
-    poly_derivative,
-    poly_mul,
     random_polynomial,
     run_random_checks,
+)
+
+from helpers import (
+    fraction_poly_add,
+    fraction_poly_derivative,
+    fraction_poly_eval,
+    fraction_poly_mul,
+    fraction_poly_trim,
 )
 
 
@@ -27,18 +34,18 @@ def test_canonical_form():
 
 
 def test_ring_operations():
-    assert poly_add(P(1, 1), P(1, -1)) == P(2)
-    assert poly_mul(P(1, 1), P(-1, 1)) == P(-1, 0, 1)
+    assert P(1, 1) + P(1, -1) == P(2)
+    assert P(1, 1) * P(-1, 1) == P(-1, 0, 1)
     assert P(0, 0, 0, 1).derivative() == P(0, 0, 3)
-    assert poly_derivative(P(5)) == P()
+    assert P(5).derivative() == P()
     assert P(1, 2, 1) - P(0, 2) == P(1, 0, 1)
     assert (-P(1, -2)) == P(-1, 2)
 
 
 def test_compose():
-    assert poly_compose(P(0, 0, 1), P(1, 1)) == P(1, 2, 1)
-    assert poly_compose(P(3), P(0, 7)) == P(3)
-    assert poly_compose(P(0, 1), P(0, 0, 5)) == P(0, 0, 5)
+    assert P(0, 0, 1).compose(P(1, 1)) == P(1, 2, 1)
+    assert P(3).compose(P(0, 7)) == P(3)
+    assert P(0, 1).compose(P(0, 0, 5)) == P(0, 0, 5)
 
 
 def test_compose_matches_evaluation():
@@ -130,3 +137,116 @@ def test_random_polynomial_bounds():
         for c in p.coeffs:
             assert abs(c.numerator) <= 10
             assert 1 <= c.denominator <= 10
+
+
+# Property tests: the integer-numerator representation against the
+# Fraction-list reference in tests/helpers.py.
+
+coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+coefficient_lists = st.lists(coefficient, max_size=6)
+
+
+def assert_canonical(p):
+    num, den = p._num, p._den
+    assert den > 0
+    assert gcd(den, *num) == 1
+    assert not num or num[-1] != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(coefficient_lists, coefficient_lists, coefficient)
+def test_operations_stay_canonical_and_match_reference(a, b, factor):
+    p, q = RationalPolynomial(a), RationalPolynomial(b)
+    ra, rb = fraction_poly_trim(a), fraction_poly_trim(b)
+    assert (p == q) == (ra == rb)
+    cases = [
+        (p, ra),
+        (p + q, fraction_poly_add(ra, rb)),
+        (-p, [-c for c in ra]),
+        (p - q, fraction_poly_add(ra, [-c for c in rb])),
+        (p * q, fraction_poly_mul(ra, rb)),
+        (p.scale(factor), fraction_poly_trim([c * factor for c in ra])),
+        (p.derivative(), fraction_poly_derivative(ra)),
+        (p.derivative(2), fraction_poly_derivative(fraction_poly_derivative(ra))),
+        (p**2, fraction_poly_mul(ra, ra)),
+    ]
+    for result, expected in cases:
+        assert_canonical(result)
+        assert list(result.coeffs) == expected
+        assert result.to_strings() == [str(c) for c in expected]
+    assert_canonical(p.compose(q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_lists, coefficient_lists, coefficient_lists)
+def test_ring_laws(a, b, c):
+    p, q, r = RationalPolynomial(a), RationalPolynomial(b), RationalPolynomial(c)
+    zero = RationalPolynomial()
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p - p == zero
+    assert_canonical(p - p)
+    assert p + zero == p
+    assert p * RationalPolynomial([1]) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(coefficient, max_size=5),
+    st.lists(coefficient, max_size=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+def test_compose_matches_pointwise_evaluation(a, b, t):
+    p, q = RationalPolynomial(a), RationalPolynomial(b)
+    composed = p.compose(q)
+    assert_canonical(composed)
+    expected = fraction_poly_eval(a, fraction_poly_eval(b, t))
+    assert fraction_poly_eval(composed.coeffs, t) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_derivative_product_rule(a, b):
+    p, q = RationalPolynomial(a), RationalPolynomial(b)
+    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+
+
+def _spelled(c, k, form):
+    """c as a Fraction, as an unreduced string "k*p/k*q", or as an int where integral."""
+    if form == 1:
+        return f"{c.numerator * k}/{c.denominator * k}"
+    if form == 2 and c.denominator == 1:
+        return int(c)
+    return c
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coefficient_lists,
+    st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2)), min_size=6, max_size=6),
+    st.integers(0, 3),
+)
+def test_equal_polynomials_from_different_inputs_hash_equal(a, spellings, zeros):
+    p = RationalPolynomial(a)
+    q = RationalPolynomial(
+        [_spelled(c, k, form) for c, (k, form) in zip(a, spellings)] + [0] * zeros
+    )
+    assert p == q
+    assert hash(p) == hash(q)
+    assert (p._num, p._den) == (q._num, q._den)
+
+
+def test_hash_consistent_for_unreduced_input():
+    p = RationalPolynomial([Fraction(2, 4), 0])
+    q = RationalPolynomial([Fraction(1, 2)])
+    r = RationalPolynomial.from_string("2/4, 0/7")
+    assert p == q == r
+    assert hash(p) == hash(q) == hash(r)
+    assert p != RationalPolynomial([1]) and p != RationalPolynomial([Fraction(1, 3)])
+    assert (p._num, p._den) == ((1,), 2)
+    assert (RationalPolynomial()._num, RationalPolynomial()._den) == ((), 1)
+    assert RationalPolynomial([0, Fraction(0, 5)]) == RationalPolynomial()
+    assert len({p, q, r, RationalPolynomial([1]), RationalPolynomial(["3/3"])}) == 2
