@@ -12,7 +12,6 @@ closed formula is the production path; the recurrence is the cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -71,44 +70,94 @@ def c_coeff(lam: Partition, r: int, s: int) -> int:
         return 0
     trunc = lam.truncate_above(s)
     e_r = elementary_moments(trunc.pochhammer(s), r)[r]
-    value = Fraction(_fact(n) * e_r, _denominator(lam))
-    if value.denominator != 1:
-        raise IntegralityError(f"C({lam!r}, r={r}, s={s}) reduced to {value}, not an integer")
-    return value.numerator
+    q, rem = divmod(_fact(n) * e_r, _denominator(lam))
+    if rem:
+        raise IntegralityError(f"C({lam!r}, r={r}, s={s}) is not an integer")
+    return q
 
 
 class RecurrenceEvaluator:
     """Memoized recurrence evaluation of C(., ., s) for a fixed shift s.
 
+    The recurrence writes C(lam, r, s) as the sum, over each distinct part j of
+    lam, of (m_{j-1} + 1) * C(lam with one j turned into j - 1, r, s), plus
+    C(lam without one part s + 1, r - 1, s) when r >= 1; the empty partition
+    gives [r == 0].  value() evaluates it by an iterative post-order walk on an
+    explicit stack, so the depth of a decrement chain is bounded by memory, not
+    by Python's recursion limit.  A state is its descending parts tuple with r,
+    and the memo is keyed on that pair.
+
+    A state with fewer than r parts greater than s is 0 and is never visited.
+    This is a property of the recurrence itself, by induction on the weight: a
+    decrement keeps r and never adds a part above s, a removal lowers both r
+    and that count by one, and the empty partition with r >= 1 is 0.  The
+    closed formula is not consulted, so the two evaluations stay independent.
+
     One evaluator should be shared across many queries with the same s: the
     recurrence revisits sub-partitions exponentially often otherwise.  The memo
-    is keyed on (partition, r) and only ever stores final values, so concurrent
-    readers inserting identical entries are harmless.
+    only ever stores final values, so concurrent readers inserting identical
+    entries are harmless.
     """
 
     def __init__(self, s: int):
         if s < 0:
             raise ValueError("s must be non-negative")
         self.s = s
-        self._memo: dict[tuple[Partition, int], int] = {}
+        self._memo: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+
+    def _is_zero(self, parts: tuple[int, ...], r: int) -> bool:
+        # fewer than r parts above s, read off the descending tuple
+        return r > len(parts) or (r > 0 and parts[r - 1] <= self.s)
+
+    def _children(self, parts: tuple[int, ...], r: int) -> list[tuple[int, tuple]]:
+        """(weight, state) for every non-zero term of the recurrence at (parts, r)."""
+        s = self.s
+        out = []
+        end = len(parts)
+        below = below_mult = 0  # the run just below the current one: its part and length
+        while end:
+            j = parts[end - 1]
+            start = end - 1
+            while start and parts[start - 1] == j:
+                start -= 1
+            head, tail = parts[: end - 1], parts[end:]  # one j (its last copy) left out
+            child = head + (j - 1,) + tail if j > 1 else head
+            if not self._is_zero(child, r):
+                out.append((below_mult + 1 if below == j - 1 else 1, (child, r)))
+            if j == s + 1 and r:
+                out.append((1, (head + tail, r - 1)))
+            below, below_mult = j, end - start
+            end = start
+        return out
 
     def value(self, lam: Partition, r: int) -> int:
         if r < 0:
             raise ValueError("r must be non-negative")
-        if lam.weight == 0:
-            return 1 if r == 0 else 0
-        key = (lam, r)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        s = self.s
-        total = 0
-        for j, _m in lam.items():
-            total += (lam.multiplicity(j - 1) + 1) * self.value(lam.decrement_part(j), r)
-        if r >= 1 and lam.multiplicity(s + 1) >= 1:
-            total += self.value(lam.remove_part(s + 1), r - 1)
-        self._memo[key] = total
-        return total
+        root = (lam.parts, r)
+        if self._is_zero(*root):
+            return 0
+        memo = self._memo
+        if root in memo:
+            return memo[root]
+        # frames: [state, children, index of the next unread child, partial sum]
+        stack = [[root, self._children(*root), 0, 0]]
+        while stack:
+            frame = stack[-1]
+            _, children, i, total = frame
+            while i < len(children):
+                weight, child = children[i]
+                v = memo.get(child)
+                if v is None:
+                    break
+                total += weight * v
+                i += 1
+            if i < len(children):
+                frame[2], frame[3] = i, total
+                stack.append([child, self._children(*child), 0, 0])
+            else:
+                memo[frame[0]] = total
+                stack.pop()
+        return memo[root]
 
 
 def c_coeff_by_recurrence(lam: Partition, r: int, s: int) -> int:

@@ -184,11 +184,26 @@ def test_unwritable_out_exits_2(argv, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_deep_recursion_exits_2():
-    proc = run_cli("coeff", "--n", "1", "--s", "1500", "--cap", "5000", "--verify", expect=2)
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+def test_deep_recurrence_is_computed():
+    # the recurrence cross-check walks a decrement chain 1,500 deep
+    proc = run_cli("coeff", "--n", "1", "--s", "1500", "--cap", "5000", "--verify")
+    assert proc.stdout == "n=1 s=1500\n  r=0  1                  1\n  r=1  1501               1\n"
+    assert proc.stderr == ""
+
+
+# sha256 of the two `coeff-tables` benchmark commands' stdout, copied from
+# bench/golden.json, which recorded them at d081a56
+COEFF_TABLE_SHA256 = {
+    "--n 10 --s 4": "9ee99b13e0e9977b047868ac67dbc2e58293c04bd765b34061c8633bc4c92c49",
+    "--n 22 --s 0": "3328b85cbd5087eec0c671f89f97323d5fab7d09d91638ccdae3a67571aca63b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(COEFF_TABLE_SHA256))
+def test_verified_coeff_table_bytes_unchanged(args, capsysbinary):
+    assert main(["coeff", *args.split(), "--verify", "--format", "csv"]) == 0
+    stdout = capsysbinary.readouterr().out
+    assert hashlib.sha256(stdout).hexdigest() == COEFF_TABLE_SHA256[args]
 
 
 # sha256 of `check ...` stdout, recorded before polynomials became integer

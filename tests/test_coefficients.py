@@ -1,3 +1,4 @@
+import sys
 from math import comb, factorial
 
 import pytest
@@ -66,6 +67,33 @@ def test_recurrence_matches_closed_form():
             for r in range(n + 1):
                 for lam in enumerate_constrained(n, r, s):
                     assert evaluator.value(lam, r) == c_coeff(lam, r, s)
+
+
+def test_recurrence_deep_decrement_chain():
+    # (1241) reaches (41) through a chain of 1,200 decrements before the
+    # removal of the part s + 1 = 41; a recursive walk overflows the stack
+    lam = make_partition([1241])
+    assert 1241 - 40 > sys.getrecursionlimit()
+    assert c_coeff_by_recurrence(lam, 1, 40) == c_coeff(lam, 1, 40)
+
+
+def test_recurrence_zero_states():
+    # fewer than r parts above s: the recurrence vanishes without a walk
+    for w in range(11):
+        for lam in enumerate_partitions(w):
+            for s in range(4):
+                for r in range(w + 2):
+                    if r * s > w or lam.length_above(s) >= r:
+                        continue
+                    assert RecurrenceEvaluator(s).value(lam, r) == 0 == c_coeff(lam, r, s)
+
+
+def test_recurrence_memo_is_order_independent():
+    queries = [(r, lam) for r in range(11) for lam in enumerate_constrained(10, r, 4)]
+    forward, backward = RecurrenceEvaluator(4), RecurrenceEvaluator(4)
+    expected = [forward.value(lam, r) for r, lam in queries]
+    got = [backward.value(lam, r) for r, lam in reversed(queries)]
+    assert got[::-1] == expected
 
 
 def test_recurrence_r0_slice():
