@@ -225,3 +225,47 @@ def test_check_report_bytes_unchanged(args, capsysbinary):
     assert main(["check", *args.split()]) == 0
     stdout = capsysbinary.readouterr().out
     assert hashlib.sha256(stdout).hexdigest() == CHECK_REPORT_SHA256[args]
+
+
+# sha256 of stdout for the verify report and every polynomial and table writer,
+# recorded at 2e78a05, before the verify suites and the sparse polynomials were
+# rebuilt on shared machinery
+OUTPUT_SHA256 = {
+    "verify --max-n 4 --max-s 2 --trials 5 --seed 0":
+        "796ca1ae1049929beb6a54a0267562ea9516915750baa7670a8065e6a50a10d6",
+    "verify --max-n 5 --max-s 2 --trials 20 --seed 0":
+        "5e86318ded60d861337bda3431c8d3a0ca05a6aaf104ebfe071abbc385d9b861",
+    "expand --n 6 --s 2 --format pretty":
+        "31a0fd72a700350b69975e560566ed2d3262719907a6f7d4771d19dee3f22dfb",
+    "expand --n 6 --s 2 --format latex":
+        "bd601f47e352b4e895feb9f79a42693469de7b87bc4ee61ba7b49060258961b5",
+    "expand --n 6 --s 2 --format json":
+        "cb252564020d206af7318280ece7d058319b7c772cb6e2ee9f892a18ac638889",
+    "bell --n 7 --k 3 --r 1 --s 2 --format pretty":
+        "8d8b02777af9ac5099bd8e8c4ffa1c118dab0f10b7e241737fdbd9a360c6eced",
+    "bell --n 7 --k 3 --r 1 --s 2 --format latex":
+        "da061a403260b813e3b974794cfcea023eade5d07fe1ad24059e9bc11b156dc3",
+    "bell --n 7 --k 3 --r 1 --s 2 --format json":
+        "2323e8a051080467bdb87a275d6acf734dc5fe5ae88e3a9216f7ad129a4cb69a",
+    "stirling --n-max 6 --format pretty":
+        "0acc5b184c070ec644e06e5c24e8037805fef2a3de93079c1ae41a4cc6461723",
+    "stirling --n-max 6 --format csv":
+        "e964f0b60f7de3d87a0eea16d708ce91bd0aa3311bc6fa37b8ffdc57ee516323",
+    "stirling --n-max 6 --format latex":
+        "d3c31d6db514804ccb09d78c9720061ac642894654915213c3faef48fe7dee7f",
+    "stirling --n-max 6 --format json":
+        "a1d3982ef5cf31dc5041daec3aabc2c19168dc5ddf6a4b38e3a79b45acd878da",
+    "coeff --n 5 --s 2 --format pretty":
+        "68d1ed5d81d9f097d0c32382b9b45fd2661a3ca662623b1ecfb716c4f3f5e073",
+    "coeff --n 5 --s 2 --format latex":
+        "554bdb3d8c5aa0839f6a57868f768dfc70bcfebaa28f810bc9e4d87e9937034d",
+    "coeff --n 5 --s 2 --format json":
+        "fc2f0b1482cc174e900444f822e00c2168495dda5c4f54be3d2a0bdc424ab4c6",
+}
+
+
+@pytest.mark.parametrize("args", sorted(OUTPUT_SHA256))
+def test_output_bytes_unchanged(args, capsysbinary):
+    assert main(args.split()) == 0
+    stdout = capsysbinary.readouterr().out
+    assert hashlib.sha256(stdout).hexdigest() == OUTPUT_SHA256[args]
