@@ -11,17 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Union
 
 from .coefficients import c_coeff, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, enumerate_constrained
-
-# sparse exponent map: ((index, exponent), ...) ascending by index, exponents >= 1
-Exps = tuple[tuple[int, int], ...]
-
-
-def _canon(exps: dict[int, int]) -> Exps:
-    return tuple(sorted((i, e) for i, e in exps.items() if e))
+from .sparse import ExponentMap as Exps
+from .sparse import SparsePolynomial, _accumulate, _merge
 
 
 def term_degree(exps: Exps) -> int:
@@ -32,24 +26,32 @@ def term_weighted_degree(exps: Exps) -> int:
     return sum(i * e for i, e in exps)
 
 
-class YPolynomial:
-    """Sparse integer polynomial in the variables y_1, y_2, ..."""
+def _pretty_term(exps: Exps, coeff: int) -> str:
+    factors = [f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in exps]
+    body = "·".join(factors) if factors else "1"
+    return body if coeff == 1 else f"{coeff}·{body}"
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[dict, Iterable[tuple[Exps, int]]] = ()):
-        data = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[Exps, int] = {}
-        for exps, coeff in data:
-            if coeff:
-                acc[exps] = acc.get(exps, 0) + coeff
-                if not acc[exps]:
-                    del acc[exps]
-        self._terms = acc
+def _latex_term(exps: Exps, coeff: int) -> str:
+    factors = [f"y_{{{i}}}" if e == 1 else f"y_{{{i}}}^{{{e}}}" for i, e in exps]
+    body = " ".join(factors) if factors else "1"
+    return body if coeff == 1 else f"{coeff}\\, " + body
 
-    @classmethod
-    def zero(cls) -> "YPolynomial":
-        return cls()
+
+class YPolynomial(SparsePolynomial):
+    """Sparse integer polynomial in the variables y_1, y_2, ...
+
+    Terms are listed by ascending weighted degree, then exponent tuples.
+    """
+
+    __slots__ = ()
+    _key_product = staticmethod(_merge)
+    _pretty_term = staticmethod(_pretty_term)
+    _latex_term = staticmethod(_latex_term)
+
+    @staticmethod
+    def _order(exps: Exps):
+        return (term_weighted_degree(exps), exps)
 
     @classmethod
     def one(cls) -> "YPolynomial":
@@ -61,63 +63,8 @@ class YPolynomial:
             raise ValueError("need index >= 1 and exponent >= 1")
         return cls({((index, exponent),): 1})
 
-    def terms(self) -> list[tuple[Exps, int]]:
-        """Terms ordered by ascending weighted degree, then exponent tuples."""
-        return sorted(self._terms.items(), key=lambda t: (term_weighted_degree(t[0]), t[0]))
-
     def coefficient(self, exps: Exps) -> int:
-        return self._terms.get(tuple(sorted(exps)), 0)
-
-    def __iter__(self) -> Iterator[tuple[Exps, int]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, YPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "YPolynomial") -> "YPolynomial":
-        acc = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc[exps] = acc.get(exps, 0) + coeff
-            if not acc[exps]:
-                del acc[exps]
-        out = YPolynomial.zero()
-        out._terms = acc
-        return out
-
-    def __sub__(self, other: "YPolynomial") -> "YPolynomial":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: int) -> "YPolynomial":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return YPolynomial({exps: scalar * c for exps, c in self._terms.items()})
-
-    def __mul__(self, other: Union["YPolynomial", int]) -> "YPolynomial":
-        if isinstance(other, int):
-            return other * self
-        if not isinstance(other, YPolynomial):
-            return NotImplemented
-        acc: dict[Exps, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                merged = dict(e1)
-                for i, e in e2:
-                    merged[i] = merged.get(i, 0) + e
-                key = _canon(merged)
-                acc[key] = acc.get(key, 0) + c1 * c2
-                if not acc[key]:
-                    del acc[key]
-        out = YPolynomial.zero()
-        out._terms = acc
-        return out
+        return super().coefficient(tuple(sorted(exps)))
 
     def shift_vars(self, s: int) -> "YPolynomial":
         """Substitute y_i -> y_{i+s} in every term."""
@@ -131,40 +78,14 @@ class YPolynomial:
         """Coefficients after y_i -> c^i x, keyed by (power of c, power of x)."""
         out: dict[tuple[int, int], int] = {}
         for exps, coeff in self._terms.items():
-            key = (term_weighted_degree(exps), term_degree(exps))
-            out[key] = out.get(key, 0) + coeff
-            if not out[key]:
-                del out[key]
+            _accumulate(out, (term_weighted_degree(exps), term_degree(exps)), coeff)
         return out
-
-    def __repr__(self) -> str:
-        return f"YPolynomial({self.pretty()})"
 
     def to_json_list(self) -> list[dict]:
         return [
             {"y": {str(i): e for i, e in exps}, "coeff": str(coeff)}
             for exps, coeff in self.terms()
         ]
-
-    def pretty(self) -> str:
-        if not self._terms:
-            return "0"
-        rendered = []
-        for exps, coeff in self.terms():
-            factors = [f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in exps]
-            body = "·".join(factors) if factors else "1"
-            rendered.append(body if coeff == 1 else f"{coeff}·{body}")
-        return " + ".join(rendered)
-
-    def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        rendered = []
-        for exps, coeff in self.terms():
-            factors = [f"y_{{{i}}}" if e == 1 else f"y_{{{i}}}^{{{e}}}" for i, e in exps]
-            body = " ".join(factors) if factors else "1"
-            rendered.append(body if coeff == 1 else f"{coeff}\\, " + body)
-        return " + ".join(rendered)
 
 
 @lru_cache(maxsize=None)
@@ -175,10 +96,10 @@ def partial_bell(n: int, k: int) -> YPolynomial:
     """
     if n < 0 or k < 0 or k > n:
         return YPolynomial.zero()
-    terms = {}
-    for lam in enumerate_constrained(n, 0, 0, length=k):
-        terms[lam.items()] = faa_di_bruno_coeff(lam)
-    return YPolynomial(terms)
+    return YPolynomial(
+        (lam.items(), faa_di_bruno_coeff(lam))
+        for lam in enumerate_constrained(n, 0, 0, length=k)
+    )
 
 
 def complete_bell(n: int) -> YPolynomial:
@@ -201,10 +122,10 @@ def modified_partial_bell(
         raise ValueError("s must be non-negative")
     if n < 0 or k < 0 or r < 0 or k > n or r > k:
         return YPolynomial.zero()
-    terms = {}
-    for lam in enumerate_constrained(n, r, s, cap=cap, length=k):
-        terms[lam.items()] = c_coeff(lam, r, s)
-    return YPolynomial(terms)
+    return YPolynomial(
+        (lam.items(), c_coeff(lam, r, s))
+        for lam in enumerate_constrained(n, r, s, cap=cap, length=k)
+    )
 
 
 def modified_complete_bell(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:

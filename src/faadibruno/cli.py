@@ -144,18 +144,31 @@ def _cmd_partitions(args) -> int:
     return 0
 
 
-def _cmd_coeff(args) -> int:
-    table = coefficient_table(args.n, args.s, verify=args.verify, cap=args.cap)
+def _emit_table(table, args) -> int:
+    # coefficient and Stirling tables render in all four formats
     if args.format == "json":
         text = _json_text(table.to_json_dict())
-    elif args.format == "csv":
-        text = table.to_csv()
-    elif args.format == "latex":
-        text = table.to_latex()
     else:
-        text = table.pretty()
+        text = {"csv": table.to_csv, "latex": table.to_latex, "pretty": table.pretty}[args.format]()
     _emit(text, args.out)
     return 0
+
+
+def _emit_polynomial(poly, header: dict, what: str, args) -> int:
+    # expansions and Bell polynomials have no csv form
+    if args.format == "csv":
+        print(f"csv output is not defined for {what}", file=sys.stderr)
+        return 2
+    if args.format == "json":
+        text = _json_text({**header, "terms": poly.to_json_list()})
+    else:
+        text = poly.latex() if args.format == "latex" else poly.pretty()
+    _emit(text, args.out)
+    return 0
+
+
+def _cmd_coeff(args) -> int:
+    return _emit_table(coefficient_table(args.n, args.s, verify=args.verify, cap=args.cap), args)
 
 
 def _cmd_expand(args) -> int:
@@ -171,48 +184,17 @@ def _cmd_expand(args) -> int:
                 args.out,
             )
             return 1
-    if args.format == "json":
-        text = _json_text({"n": args.n, "s": args.s, "terms": expansion.to_json_list()})
-    elif args.format == "latex":
-        text = expansion.latex()
-    elif args.format == "pretty":
-        text = expansion.pretty()
-    else:
-        print("csv output is not defined for expansions", file=sys.stderr)
-        return 2
-    _emit(text, args.out)
-    return 0
+    return _emit_polynomial(expansion, {"n": args.n, "s": args.s}, "expansions", args)
 
 
 def _cmd_bell(args) -> int:
     poly = modified_partial_bell(args.n, args.k, args.r, args.s, cap=args.cap)
-    if args.format == "json":
-        text = _json_text(
-            {"n": args.n, "k": args.k, "r": args.r, "s": args.s, "terms": poly.to_json_list()}
-        )
-    elif args.format == "latex":
-        text = poly.latex()
-    elif args.format == "pretty":
-        text = poly.pretty()
-    else:
-        print("csv output is not defined for Bell polynomials", file=sys.stderr)
-        return 2
-    _emit(text, args.out)
-    return 0
+    header = {"n": args.n, "k": args.k, "r": args.r, "s": args.s}
+    return _emit_polynomial(poly, header, "Bell polynomials", args)
 
 
 def _cmd_stirling(args) -> int:
-    table = StirlingTable.build(args.n_max)
-    if args.format == "json":
-        text = _json_text(table.to_json_dict())
-    elif args.format == "csv":
-        text = table.to_csv()
-    elif args.format == "latex":
-        text = table.to_latex()
-    else:
-        text = table.pretty()
-    _emit(text, args.out)
-    return 0
+    return _emit_table(StirlingTable.build(args.n_max), args)
 
 
 def _cmd_check(args) -> int:

@@ -20,8 +20,9 @@ same as order zero.
 
 from __future__ import annotations
 
-from math import comb
-from typing import Iterable, Iterator, NamedTuple, Union
+from itertools import product
+from math import comb, prod
+from typing import Iterable, NamedTuple, Union
 
 from .coefficients import c_coeff, faa_di_bruno_coeff
 from .partitions import (
@@ -30,9 +31,7 @@ from .partitions import (
     enumerate_constrained,
     enumerate_partitions,
 )
-
-# sparse exponent map: ((index, exponent), ...) ascending by index, exponents >= 1
-ExponentMap = tuple[tuple[int, int], ...]
+from .sparse import ExponentMap, SparsePolynomial, _canon, _merge
 
 
 class DiffMonomial(NamedTuple):
@@ -40,16 +39,6 @@ class DiffMonomial(NamedTuple):
     g_order: Union[int, None]
     y: ExponentMap
     z: ExponentMap
-
-
-def _canon(exps: dict[int, int]) -> ExponentMap:
-    return tuple(sorted((i, e) for i, e in exps.items() if e))
-
-
-def _bump(exps: ExponentMap, index: int, delta: int) -> ExponentMap:
-    d = dict(exps)
-    d[index] = d.get(index, 0) + delta
-    return _canon(d)
 
 
 def monomial(
@@ -69,137 +58,6 @@ def monomial(
             if i < 1 or e < 0:
                 raise ValueError("exponent maps need indices >= 1 and exponents >= 0")
     return DiffMonomial(f_order, g_order, _canon(ymap), _canon(zmap))
-
-
-def _sort_key(mono: DiffMonomial):
-    f = -1 if mono.f_order is None else mono.f_order
-    g = -1 if mono.g_order is None else mono.g_order
-    return (f, g, mono.y, mono.z)
-
-
-class DiffPolynomial:
-    """Sparse integer-coefficient polynomial over :class:`DiffMonomial` keys."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Union[dict, Iterable[tuple[DiffMonomial, int]]] = ()):
-        data = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[DiffMonomial, int] = {}
-        for mono, coeff in data:
-            if coeff:
-                acc[mono] = acc.get(mono, 0) + coeff
-                if not acc[mono]:
-                    del acc[mono]
-        self._terms = acc
-
-    @classmethod
-    def zero(cls) -> "DiffPolynomial":
-        return cls()
-
-    @classmethod
-    def term(cls, mono: DiffMonomial, coeff: int = 1) -> "DiffPolynomial":
-        return cls({mono: coeff})
-
-    def terms(self) -> list[tuple[DiffMonomial, int]]:
-        """Terms in canonical order: descending (f_order, g_order, y, z)."""
-        return sorted(self._terms.items(), key=lambda t: _sort_key(t[0]), reverse=True)
-
-    def coefficient(self, mono: DiffMonomial) -> int:
-        return self._terms.get(mono, 0)
-
-    def __iter__(self) -> Iterator[tuple[DiffMonomial, int]]:
-        return iter(self._terms.items())
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiffPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __add__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc[mono] = acc.get(mono, 0) + coeff
-            if not acc[mono]:
-                del acc[mono]
-        out = DiffPolynomial.zero()
-        out._terms = acc
-        return out
-
-    def __sub__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar: int) -> "DiffPolynomial":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return DiffPolynomial({m: scalar * c for m, c in self._terms.items()})
-
-    def __mul__(self, other: "DiffPolynomial") -> "DiffPolynomial":
-        """Product, defined as long as no monomial pair would carry two F (or two G) factors.
-
-        Expansion polynomials each hold one F and one G per monomial, so their
-        products are rejected; multiplying by Y/Z-only polynomials is always fine.
-        """
-        if isinstance(other, int):
-            return other * self
-        if not isinstance(other, DiffPolynomial):
-            return NotImplemented
-        acc: dict[DiffMonomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                if m1.f_order is not None and m2.f_order is not None:
-                    raise ValueError("product would carry two f factors in one monomial")
-                if m1.g_order is not None and m2.g_order is not None:
-                    raise ValueError("product would carry two g factors in one monomial")
-                f = m1.f_order if m1.f_order is not None else m2.f_order
-                g = m1.g_order if m1.g_order is not None else m2.g_order
-                y = dict(m1.y)
-                for i, e in m2.y:
-                    y[i] = y.get(i, 0) + e
-                z = dict(m1.z)
-                for i, e in m2.z:
-                    z[i] = z.get(i, 0) + e
-                mono = DiffMonomial(f, g, _canon(y), _canon(z))
-                acc[mono] = acc.get(mono, 0) + c1 * c2
-                if not acc[mono]:
-                    del acc[mono]
-        out = DiffPolynomial.zero()
-        out._terms = acc
-        return out
-
-    def __repr__(self) -> str:
-        return f"DiffPolynomial({self.pretty()})"
-
-    # -- rendering ----------------------------------------------------------
-
-    def to_json_list(self) -> list[dict]:
-        out = []
-        for mono, coeff in self.terms():
-            out.append(
-                {
-                    "f": mono.f_order,
-                    "g": mono.g_order,
-                    "y": {str(i): e for i, e in mono.y},
-                    "z": {str(i): e for i, e in mono.z},
-                    "coeff": str(coeff),
-                }
-            )
-        return out
-
-    def pretty(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(_pretty_term(mono, coeff) for mono, coeff in self.terms())
-
-    def latex(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(_latex_term(mono, coeff) for mono, coeff in self.terms())
 
 
 def _order_marks(base: str, order: int) -> str:
@@ -242,6 +100,58 @@ def _latex_term(mono: DiffMonomial, coeff: int) -> str:
     return f"{coeff}\\," + body
 
 
+class DiffPolynomial(SparsePolynomial):
+    """Sparse integer-coefficient polynomial over :class:`DiffMonomial` keys.
+
+    Terms are listed in descending (f_order, g_order, y, z) order, with an
+    absent F or G factor below order zero.
+    """
+
+    __slots__ = ()
+    _descending = True
+    _pretty_term = staticmethod(_pretty_term)
+    _latex_term = staticmethod(_latex_term)
+
+    @classmethod
+    def term(cls, mono: DiffMonomial, coeff: int = 1) -> "DiffPolynomial":
+        return cls({mono: coeff})
+
+    @staticmethod
+    def _order(mono: DiffMonomial):
+        f = -1 if mono.f_order is None else mono.f_order
+        g = -1 if mono.g_order is None else mono.g_order
+        return (f, g, mono.y, mono.z)
+
+    @staticmethod
+    def _key_product(m1: DiffMonomial, m2: DiffMonomial) -> DiffMonomial:
+        """Defined as long as the pair does not carry two F (or two G) factors.
+
+        Expansion polynomials each hold one F and one G per monomial, so their
+        products are rejected; multiplying by Y/Z-only polynomials is always fine.
+        """
+        if m1.f_order is not None and m2.f_order is not None:
+            raise ValueError("product would carry two f factors in one monomial")
+        if m1.g_order is not None and m2.g_order is not None:
+            raise ValueError("product would carry two g factors in one monomial")
+        f = m1.f_order if m1.f_order is not None else m2.f_order
+        g = m1.g_order if m1.g_order is not None else m2.g_order
+        return DiffMonomial(f, g, _merge(m1.y, m2.y), _merge(m1.z, m2.z))
+
+    def to_json_list(self) -> list[dict]:
+        out = []
+        for mono, coeff in self.terms():
+            out.append(
+                {
+                    "f": mono.f_order,
+                    "g": mono.g_order,
+                    "y": {str(i): e for i, e in mono.y},
+                    "z": {str(i): e for i, e in mono.z},
+                    "coeff": str(coeff),
+                }
+            )
+        return out
+
+
 # -- the derivation -------------------------------------------------------
 
 MODES = ("composed", "independent", "constant_g")
@@ -263,29 +173,25 @@ def derive(poly: DiffPolynomial, mode: str = "composed", s: int = 0) -> DiffPoly
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "composed" and s < 0:
         raise ValueError("s must be non-negative")
-    acc: dict[DiffMonomial, int] = {}
 
-    def add(mono: DiffMonomial, coeff: int) -> None:
-        acc[mono] = acc.get(mono, 0) + coeff
-        if not acc[mono]:
-            del acc[mono]
+    def terms():
+        for mono, coeff in poly:
+            f, g, y, z = mono
+            if mode == "composed" and z:
+                raise ValueError("z symbols cannot appear in composed mode")
+            if f is not None:
+                yield DiffMonomial(f + 1, g, _merge(y, ((1, 1),)), z), coeff
+            if g is not None:
+                if mode == "composed":
+                    yield DiffMonomial(f, g + 1, _merge(y, ((s + 1, 1),)), z), coeff
+                elif mode == "independent":
+                    yield DiffMonomial(f, g + 1, y, _merge(z, ((1, 1),))), coeff
+            for i, e in y:
+                yield DiffMonomial(f, g, _merge(y, ((i, -1), (i + 1, 1))), z), coeff * e
+            for i, e in z:
+                yield DiffMonomial(f, g, y, _merge(z, ((i, -1), (i + 1, 1)))), coeff * e
 
-    for mono, coeff in poly:
-        f, g, y, z = mono
-        if mode == "composed" and z:
-            raise ValueError("z symbols cannot appear in composed mode")
-        if f is not None:
-            add(DiffMonomial(f + 1, g, _bump(y, 1, +1), z), coeff)
-        if g is not None:
-            if mode == "composed":
-                add(DiffMonomial(f, g + 1, _bump(y, s + 1, +1), z), coeff)
-            elif mode == "independent":
-                add(DiffMonomial(f, g + 1, y, _bump(z, 1, +1)), coeff)
-        for i, e in y:
-            add(DiffMonomial(f, g, _bump(_bump(y, i, -1), i + 1, +1), z), coeff * e)
-        for i, e in z:
-            add(DiffMonomial(f, g, y, _bump(_bump(z, i, -1), i + 1, +1)), coeff * e)
-    return DiffPolynomial(acc)
+    return DiffPolynomial(terms())
 
 
 _SEED = DiffMonomial(0, 0, (), ())
@@ -312,12 +218,11 @@ def formula_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPoly
     if n < 0 or s < 0:
         raise ValueError("n and s must be non-negative")
     _check_cap(n * (1 + s), cap, f"formula expansion (n={n}, s={s})")
-    acc: dict[DiffMonomial, int] = {}
-    for r in range(n + 1):
-        for lam in enumerate_constrained(n, r, s, cap=cap):
-            mono = DiffMonomial(lam.length - r, r, lam.items(), ())
-            acc[mono] = acc.get(mono, 0) + c_coeff(lam, r, s)
-    return DiffPolynomial(acc)
+    return DiffPolynomial(
+        (DiffMonomial(lam.length - r, r, lam.items(), ()), c_coeff(lam, r, s))
+        for r in range(n + 1)
+        for lam in enumerate_constrained(n, r, s, cap=cap)
+    )
 
 
 def faa_expansion(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
@@ -328,11 +233,10 @@ def faa_expansion(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_cap(n, cap, f"chain-rule expansion (n={n})")
-    acc: dict[DiffMonomial, int] = {}
-    for lam in enumerate_partitions(n, cap=cap):
-        mono = DiffMonomial(lam.length, 0, lam.items(), ())
-        acc[mono] = faa_di_bruno_coeff(lam)
-    return DiffPolynomial(acc)
+    return DiffPolynomial(
+        (DiffMonomial(lam.length, 0, lam.items(), ()), faa_di_bruno_coeff(lam))
+        for lam in enumerate_partitions(n, cap=cap)
+    )
 
 
 def leibniz_product_expansion(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
@@ -345,49 +249,30 @@ def leibniz_product_expansion(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPoly
     if n < 0:
         raise ValueError("n must be non-negative")
     _check_cap(n, cap, f"product-rule expansion (n={n})")
-    acc: dict[DiffMonomial, int] = {}
-    for rho in enumerate_partitions(n, cap=cap):
-        base = faa_di_bruno_coeff(rho)
-        items = rho.items()
-        choices = [range(m + 1) for _, m in items]
-        for sub in _cartesian(choices):
-            mult = 1
-            r = 0
-            y: dict[int, int] = {}
-            z: dict[int, int] = {}
-            for (i, m), chosen in zip(items, sub):
-                mult *= comb(m, chosen)
-                r += chosen
-                if m - chosen:
-                    y[i] = m - chosen
-                if chosen:
-                    z[i] = chosen
-            mono = DiffMonomial(rho.length - r, r, _canon(y), _canon(z))
-            acc[mono] = acc.get(mono, 0) + base * mult
-    return DiffPolynomial(acc)
 
+    def terms():
+        for rho in enumerate_partitions(n, cap=cap):
+            base = faa_di_bruno_coeff(rho)
+            items = rho.items()
+            for sub in product(*(range(m + 1) for _, m in items)):
+                r = sum(sub)
+                mult = prod(comb(m, chosen) for (_, m), chosen in zip(items, sub))
+                y = _canon({i: m - chosen for (i, m), chosen in zip(items, sub)})
+                z = _canon({i: chosen for (i, _), chosen in zip(items, sub)})
+                yield DiffMonomial(rho.length - r, r, y, z), base * mult
 
-def _cartesian(ranges: list[range]) -> Iterator[tuple[int, ...]]:
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _cartesian(ranges[1:]):
-            yield (head,) + tail
+    return DiffPolynomial(terms())
 
 
 def substitute_psi(poly: DiffPolynomial, s: int) -> DiffPolynomial:
     """Identify psi with the s-th derivative of phi: Z_i -> Y_{i+s}, merging terms."""
     if s < 0:
         raise ValueError("s must be non-negative")
-    acc: dict[DiffMonomial, int] = {}
-    for mono, coeff in poly:
-        if mono.z:
-            y = dict(mono.y)
-            for i, e in mono.z:
-                y[i + s] = y.get(i + s, 0) + e
-            mono = DiffMonomial(mono.f_order, mono.g_order, _canon(y), ())
-        acc[mono] = acc.get(mono, 0) + coeff
-        if not acc[mono]:
-            del acc[mono]
-    return DiffPolynomial(acc)
+
+    def moved(mono: DiffMonomial) -> DiffMonomial:
+        if not mono.z:
+            return mono
+        y = _merge(mono.y, ((i + s, e) for i, e in mono.z))
+        return DiffMonomial(mono.f_order, mono.g_order, y, ())
+
+    return DiffPolynomial((moved(mono), coeff) for mono, coeff in poly)

@@ -6,6 +6,14 @@ suites are marked informational: they evaluate superficially natural variants
 of true identities (one missing a binomial weight, one missing an index
 shift) that are genuinely false, and exist to document the counterexamples.
 Informational failures never affect the exit status.
+
+A suite is a private generator declared with the ``_suite(key, statement,
+informational)`` decorator.  It takes ``(max_n, max_s, rng, trials, cap)``
+and yields exactly one item per checked instance: ``None`` when the identity
+holds there, or a witness dict when it fails.  One runner counts the items
+and the failures and keeps the first witness.  ``SUITES`` holds the
+``(key, statement, runner, informational)`` tuples in declaration order,
+which is the order of the report.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
 )
+from .sparse import _accumulate
 
 
 def partition_count_dp(n_max: int) -> list[int]:
@@ -53,38 +62,76 @@ def _multisets(card_max: int, entry_max: int):
             yield Multiset(combo)
 
 
+def _derivative_chain(max_n: int, mode: str, s: int = 0):
+    # (n, the n-fold derivative of F0*G0) for n = 0..max_n, derived lazily
+    chain = diffalg.DiffPolynomial.term(diffalg.DiffMonomial(0, 0, (), ()))
+    for n in range(max_n + 1):
+        yield n, chain
+        if n < max_n:
+            chain = diffalg.derive(chain, mode, s)
+
+
 # ---------------------------------------------------------------------------
-# suite implementations: each returns (instances, failures, counterexample)
+# the registry and the runner
+# ---------------------------------------------------------------------------
+
+_REGISTRY: list[tuple] = []
+
+
+def _suite(key: str, statement: str, informational: bool = False):
+    """Register the decorated per-instance check as the next `verify` suite."""
+
+    def register(check):
+        def runner(max_n: int, max_s: int, rng, trials: int, cap: int):
+            instances = failures = 0
+            witness = None
+            for item in check(max_n, max_s, rng, trials, cap):
+                instances += 1
+                if item is not None:
+                    failures += 1
+                    if witness is None:
+                        witness = item
+            return instances, failures, witness
+
+        _REGISTRY.append((key, statement, runner, informational))
+        return check
+
+    return register
+
+
+# ---------------------------------------------------------------------------
+# the suites, in report order: each yields None or a witness per instance
 # ---------------------------------------------------------------------------
 
 
-def _suite_partition_counts(max_n: int, max_s: int, rng, trials: int, cap: int):
+@_suite(
+    "partition_count_matches_dp",
+    "enumeration of partitions of n agrees with the generating-function count, "
+    "with no duplicates and correct weights",
+)
+def _check_partition_counts(max_n, max_s, rng, trials, cap):
     bound = min(2 * max_n, 30)
     dp = partition_count_dp(bound)
-    instances = failures = 0
-    witness = None
     for n in range(bound + 1):
         seen = list(enumerate_partitions(n))
-        instances += 1
         ok = (
             len(seen) == dp[n]
             and len(set(seen)) == len(seen)
             and all(lam.weight == n for lam in seen)
         )
-        if not ok:
-            failures += 1
-            witness = witness or {"n": n, "enumerated": len(seen), "expected": dp[n]}
-    return instances, failures, witness
+        yield None if ok else {"n": n, "enumerated": len(seen), "expected": dp[n]}
 
 
-def _suite_partition_modifications(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "partition_modification_parameters",
+    "removing or decrementing a part changes weight, length, and multiplicities "
+    "by the expected deltas",
+)
+def _check_partition_modifications(max_n, max_s, rng, trials, cap):
     for lam in _all_partitions_upto(max_n):
         for j, _m in lam.items():
             removed = lam.remove_part(j)
             lowered = lam.decrement_part(j)
-            instances += 1
             ok = (
                 removed.weight == lam.weight - j
                 and removed.length == lam.length - 1
@@ -104,22 +151,21 @@ def _suite_partition_modifications(max_n: int, max_s: int, rng, trials: int, cap
             )
             if j == 1:
                 ok = ok and lowered == removed
-            if not ok:
-                failures += 1
-                witness = witness or {"partition": list(lam.parts), "j": j}
-    return instances, failures, witness
+            yield None if ok else {"partition": list(lam.parts), "j": j}
 
 
-def _suite_union_shift(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "partition_union_shift_parameters",
+    "union adds multiplicities pointwise; shifting all parts up by s preserves "
+    "length and adds s*length to the weight",
+)
+def _check_union_shift(max_n, max_s, rng, trials, cap):
     pool = _all_partitions_upto(max_n)
     for mu in pool:
         for nu in pool:
             if mu.weight + nu.weight > max_n:
                 continue
             both = mu.union(nu)
-            instances += 1
             ok = (
                 both.weight == mu.weight + nu.weight
                 and both.length == mu.length + nu.length
@@ -128,13 +174,10 @@ def _suite_union_shift(max_n: int, max_s: int, rng, trials: int, cap: int):
                     for i in range(1, max_n + 2)
                 )
             )
-            if not ok:
-                failures += 1
-                witness = witness or {"mu": list(mu.parts), "nu": list(nu.parts)}
+            yield None if ok else {"mu": list(mu.parts), "nu": list(nu.parts)}
     for mu in pool:
         for s in range(max_s + 1):
             shifted = mu.shift_up(s)
-            instances += 1
             ok = (
                 shifted.length == mu.length
                 and shifted.weight == mu.weight + s * mu.length
@@ -144,18 +187,17 @@ def _suite_union_shift(max_n: int, max_s: int, rng, trials: int, cap: int):
                 )
                 and all(shifted.multiplicity(i) == 0 for i in range(1, s + 1))
             )
-            if not ok:
-                failures += 1
-                witness = witness or {"mu": list(mu.parts), "s": s}
-    return instances, failures, witness
+            yield None if ok else {"mu": list(mu.parts), "s": s}
 
 
-def _suite_truncation_fixed_points(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "truncation_shift_fixed_points",
+    "a partition is fixed by truncation above s exactly when it has no part <= s, "
+    "and shifting up by s always lands on such a fixed point, invertibly",
+)
+def _check_truncation_fixed_points(max_n, max_s, rng, trials, cap):
     for lam in _all_partitions_upto(max_n):
         for s in range(max_s + 1):
-            instances += 1
             fixed = lam.truncate_above(s) == lam
             expected = all(i > s for i, _ in lam.items())
             ok = fixed == expected
@@ -165,66 +207,57 @@ def _suite_truncation_fixed_points(max_n: int, max_s: int, rng, trials: int, cap
                 # shift-down inverts shift-up exactly on truncation-fixed partitions
                 down = Partition([a - s for a in lam.parts])
                 ok = ok and down.shift_up(s) == lam
-            if not ok:
-                failures += 1
-                witness = witness or {"partition": list(lam.parts), "s": s}
-    return instances, failures, witness
+            yield None if ok else {"partition": list(lam.parts), "s": s}
 
 
-def _suite_newton_residual(max_n: int, max_s: int, rng, trials: int, cap: int):
+@_suite(
+    "newton_identity_residual_zero",
+    "the alternating power-sum / elementary-function convolution equals r * e_r",
+)
+def _check_newton_residual(max_n, max_s, rng, trials, cap):
     card_max = min(max_n, 6)
-    entry_max = 8
-    instances = failures = 0
-    witness = None
-    for b in _multisets(card_max, entry_max):
+    for b in _multisets(card_max, 8):
         for r in range(1, card_max + 1):
-            instances += 1
-            if symfunc.newton_residual(b, r) != 0:
-                failures += 1
-                witness = witness or {"multiset": list(b.elements), "r": r}
-    return instances, failures, witness
+            ok = symfunc.newton_residual(b, r) == 0
+            yield None if ok else {"multiset": list(b.elements), "r": r}
 
 
-def _suite_subtract_transform(max_n: int, max_s: int, rng, trials: int, cap: int):
-    card_max = min(max_n, 6)
-    entry_max = 8
-    instances = failures = 0
-    witness = None
-    for b in _multisets(card_max, entry_max):
-        if not len(b):
-            continue
+@_suite(
+    "elementary_subtract_transform",
+    "the elementary vector after replacing one element b by b - c matches the "
+    "series correction computed from the original vector",
+)
+def _check_subtract_transform(max_n, max_s, rng, trials, cap):
+    for b in _multisets(min(max_n, 6), 8):
         r_max = len(b)
+        if not r_max:
+            continue
         for value in sorted(set(b.elements)):
-            instances += 1
-            omitted = symfunc.subtract_transform(b, value, value, r_max)
-            direct = symfunc.elementary_moments(b.remove_one(value), r_max)
-            general_ok = True
-            for c in (0, 1, value // 2):
-                replaced = Multiset(list(b.remove_one(value)) + [value - c])
-                if symfunc.subtract_transform(b, value, c, r_max) != symfunc.elementary_moments(
-                    replaced, r_max
-                ):
-                    general_ok = False
-            if omitted != direct or not general_ok:
-                failures += 1
-                witness = witness or {"multiset": list(b.elements), "value": value}
-    return instances, failures, witness
+            rest = b.remove_one(value)
+            ok = symfunc.subtract_transform(
+                b, value, value, r_max
+            ) == symfunc.elementary_moments(rest, r_max) and all(
+                symfunc.subtract_transform(b, value, c, r_max)
+                == symfunc.elementary_moments(Multiset(list(rest) + [value - c]), r_max)
+                for c in (0, 1, value // 2)
+            )
+            yield None if ok else {"multiset": list(b.elements), "value": value}
 
 
-def _suite_subpartition_sum(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "elementary_subpartition_sum",
+    "e_r of the falling-factorial image equals the binomial-weighted sum over "
+    "sub-partitions of length r",
+)
+def _check_subpartition_sum(max_n, max_s, rng, trials, cap):
     for eta in _all_partitions_upto(max_n):
         for s in range(max_s + 1):
             if s >= 1 and any(i <= s for i, _ in eta.items()):
                 continue
             vector = symfunc.elementary_moments(eta.pochhammer(s), eta.length + 1)
             for r in range(eta.length + 2):
-                instances += 1
-                if symfunc.elementary_by_subpartitions(eta, s, r) != vector[r]:
-                    failures += 1
-                    witness = witness or {"eta": list(eta.parts), "s": s, "r": r}
-    return instances, failures, witness
+                ok = symfunc.elementary_by_subpartitions(eta, s, r) == vector[r]
+                yield None if ok else {"eta": list(eta.parts), "s": s, "r": r}
 
 
 def _shifted_subpartition_sum(lam: Partition, s: int, r: int) -> int:
@@ -247,146 +280,131 @@ def _shifted_subpartition_sum(lam: Partition, s: int, r: int) -> int:
     return descend(0, r)
 
 
-def _suite_shifted_subpartition_sum(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "elementary_shifted_subpartition_sum",
+    "the same sub-partition sum rewritten over shifted-down partitions "
+    "reproduces e_r of the truncated falling-factorial image",
+)
+def _check_shifted_subpartition_sum(max_n, max_s, rng, trials, cap):
     for lam in _all_partitions_upto(max_n):
         for s in range(max_s + 1):
             trunc = lam.truncate_above(s)
             vector = symfunc.elementary_moments(trunc.pochhammer(s), trunc.length + 1)
             for r in range(trunc.length + 2):
-                instances += 1
-                if _shifted_subpartition_sum(lam, s, r) != vector[r]:
-                    failures += 1
-                    witness = witness or {"lam": list(lam.parts), "s": s, "r": r}
-    return instances, failures, witness
+                ok = _shifted_subpartition_sum(lam, s, r) == vector[r]
+                yield None if ok else {"lam": list(lam.parts), "s": s, "r": r}
 
 
-def _suite_binomial_specialization(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "binomial_specialization_s0",
+    "at s = 0 the generalized coefficient factors as binom(length, r) times the "
+    "classical chain-rule coefficient",
+)
+def _check_binomial_specialization(max_n, max_s, rng, trials, cap):
     for lam in _all_partitions_upto(max_n):
         base = faa_di_bruno_coeff(lam)
         for r in range(lam.length + 1):
-            instances += 1
-            if c_coeff(lam, r, 0) != comb(lam.length, r) * base:
-                failures += 1
-                witness = witness or {"lam": list(lam.parts), "r": r}
-    return instances, failures, witness
+            ok = c_coeff(lam, r, 0) == comb(lam.length, r) * base
+            yield None if ok else {"lam": list(lam.parts), "r": r}
 
 
-def _suite_r0_reduction(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "coefficient_r0_reduction",
+    "at r = 0 the generalized coefficient equals the classical chain-rule "
+    "coefficient for every shift s",
+)
+def _check_r0_reduction(max_n, max_s, rng, trials, cap):
     for lam in _all_partitions_upto(max_n):
         base = faa_di_bruno_coeff(lam)
         for s in range(max_s + 1):
-            instances += 1
-            if c_coeff(lam, 0, s) != base:
-                failures += 1
-                witness = witness or {"lam": list(lam.parts), "s": s}
-    return instances, failures, witness
+            ok = c_coeff(lam, 0, s) == base
+            yield None if ok else {"lam": list(lam.parts), "s": s}
 
 
-def _suite_integrality(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "coefficient_integrality",
+    "every table coefficient reduces to a positive integer",
+)
+def _check_integrality(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n in range(max_n + 1):
             try:
                 table = coefficient_table(n, s, cap=cap)
             except IntegralityError as exc:
-                failures += 1
-                witness = witness or {"n": n, "s": s, "error": str(exc)}
+                # a table that cannot be built is one failing instance
+                yield {"n": n, "s": s, "error": str(exc)}
                 continue
             for r, lam, c in table.entries:
-                instances += 1
-                if not (isinstance(c, int) and c > 0):
-                    failures += 1
-                    witness = witness or {"n": n, "s": s, "r": r, "lam": list(lam.parts)}
-    return instances, failures, witness
+                ok = isinstance(c, int) and c > 0
+                yield None if ok else {"n": n, "s": s, "r": r, "lam": list(lam.parts)}
 
 
-def _suite_recurrence(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "coefficient_recurrence_matches_closed_form",
+    "the modification recurrence reproduces the closed-form coefficient on every "
+    "table entry (r = 0 slice included)",
+)
+def _check_recurrence(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         evaluator = RecurrenceEvaluator(s)
         for n in range(max_n + 1):
             for r, lam, c in coefficient_table(n, s, cap=cap).entries:
-                instances += 1
-                if evaluator.value(lam, r) != c:
-                    failures += 1
-                    witness = witness or {"n": n, "s": s, "r": r, "lam": list(lam.parts)}
-    return instances, failures, witness
+                ok = evaluator.value(lam, r) == c
+                yield None if ok else {"n": n, "s": s, "r": r, "lam": list(lam.parts)}
 
 
-def _suite_oracle_vs_formula(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "derivative_oracle_matches_formula",
+    "the n-fold symbolic derivative of F0*G0 equals the assembled closed-formula "
+    "expansion, exactly, term by term",
+)
+def _check_oracle_vs_formula(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
-        chain = diffalg.DiffPolynomial.term(diffalg.DiffMonomial(0, 0, (), ()))
-        for n in range(max_n + 1):
-            instances += 1
-            if diffalg.formula_expansion(n, s, cap=cap) != chain:
-                failures += 1
-                witness = witness or {"n": n, "s": s}
-            if n < max_n:
-                chain = diffalg.derive(chain, "composed", s)
-    return instances, failures, witness
+        for n, chain in _derivative_chain(max_n, "composed", s):
+            ok = diffalg.formula_expansion(n, s, cap=cap) == chain
+            yield None if ok else {"n": n, "s": s}
 
 
-def _suite_chain_rule(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
-    chain = diffalg.DiffPolynomial.term(diffalg.DiffMonomial(0, 0, (), ()))
-    for n in range(max_n + 1):
-        instances += 1
-        if diffalg.faa_expansion(n, cap=cap) != chain:
-            failures += 1
-            witness = witness or {"n": n}
-        if n < max_n:
-            chain = diffalg.derive(chain, "constant_g")
-    return instances, failures, witness
+@_suite(
+    "classic_chain_rule_expansion",
+    "with g held constant the expansion degenerates to the classical chain-rule "
+    "formula",
+)
+def _check_chain_rule(max_n, max_s, rng, trials, cap):
+    for n, chain in _derivative_chain(max_n, "constant_g"):
+        yield None if diffalg.faa_expansion(n, cap=cap) == chain else {"n": n}
 
 
-def _suite_product_rule(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
-    chain = diffalg.DiffPolynomial.term(diffalg.DiffMonomial(0, 0, (), ()))
-    for n in range(max_n + 1):
-        instances += 1
-        if diffalg.leibniz_product_expansion(n, cap=cap) != chain:
-            failures += 1
-            witness = witness or {"n": n}
-        if n < max_n:
-            chain = diffalg.derive(chain, "independent")
-    return instances, failures, witness
+@_suite(
+    "product_rule_expansion",
+    "the closed form for the n-th derivative of (f o phi)*(g o psi) with "
+    "independent psi matches the symbolic oracle",
+)
+def _check_product_rule(max_n, max_s, rng, trials, cap):
+    for n, chain in _derivative_chain(max_n, "independent"):
+        yield None if diffalg.leibniz_product_expansion(n, cap=cap) == chain else {"n": n}
 
 
-def _suite_psi_bridge(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "psi_substitution_bridge",
+    "substituting psi = phi^(s) into the independent-product expansion recovers "
+    "the composed expansion",
+)
+def _check_psi_bridge(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
-        chain = diffalg.DiffPolynomial.term(diffalg.DiffMonomial(0, 0, (), ()))
-        for n in range(max_n + 1):
-            instances += 1
+        for n, chain in _derivative_chain(max_n, "composed", s):
             bridged = diffalg.substitute_psi(diffalg.leibniz_product_expansion(n, cap=cap), s)
-            if bridged != chain:
-                failures += 1
-                witness = witness or {"n": n, "s": s}
-            if n < max_n:
-                chain = diffalg.derive(chain, "composed", s)
-    return instances, failures, witness
+            yield None if bridged == chain else {"n": n, "s": s}
 
 
-def _suite_weighted_degree_law(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "expansion_weighted_degree_law",
+    "every expansion monomial satisfies the weighted-degree and order-count laws",
+)
+def _check_weighted_degree_law(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n in range(max_n + 1):
             for mono, _c in diffalg.formula_expansion(n, s, cap=cap):
-                instances += 1
                 y_weight = sum(i * e for i, e in mono.y)
                 y_degree = sum(e for _, e in mono.y)
                 ok = (
@@ -396,52 +414,48 @@ def _suite_weighted_degree_law(max_n: int, max_s: int, rng, trials: int, cap: in
                     and y_weight == n + mono.g_order * s
                     and y_degree == mono.f_order + mono.g_order
                 )
-                if not ok:
-                    failures += 1
-                    witness = witness or {"n": n, "s": s, "monomial": repr(mono)}
-    return instances, failures, witness
+                yield None if ok else {"n": n, "s": s, "monomial": repr(mono)}
 
 
 def _random_variable_poly(rng: random.Random) -> diffalg.DiffPolynomial:
-    terms = {}
+    terms = []
     for _ in range(rng.randint(1, 3)):
         y = {rng.randint(1, 3): rng.randint(1, 2) for _ in range(rng.randint(0, 2))}
         z = {rng.randint(1, 2): rng.randint(1, 2) for _ in range(rng.randint(0, 1))}
-        mono = diffalg.monomial(None, None, y, z)
-        terms[mono] = terms.get(mono, 0) + rng.randint(-3, 3)
+        terms.append((diffalg.monomial(None, None, y, z), rng.randint(-3, 3)))
     return diffalg.DiffPolynomial(terms)
 
 
-def _suite_leibniz_property(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "derivation_leibniz_rule",
+    "the derivation satisfies D(P*Q) = D(P)*Q + P*D(Q) on products it can form",
+)
+def _check_leibniz_property(max_n, max_s, rng, trials, cap):
     for _ in range(max(trials, 10)):
         p = _random_variable_poly(rng)
         q = _random_variable_poly(rng)
-        instances += 1
         lhs = diffalg.derive(p * q, "independent")
         rhs = diffalg.derive(p, "independent") * q + p * diffalg.derive(q, "independent")
-        if lhs != rhs:
-            failures += 1
-            witness = witness or {"p": p.pretty(), "q": q.pretty()}
+        yield None if lhs == rhs else {"p": p.pretty(), "q": q.pretty()}
     # mixed case: one factor carrying the f and g symbols
     seed_poly = diffalg.nth_derivative_expansion(min(max_n, 2), 0, cap=cap)
     for _ in range(5):
         q = _random_variable_poly(rng)
         q = diffalg.DiffPolynomial({m: c for m, c in q if not m.z})
-        instances += 1
         lhs = diffalg.derive(seed_poly * q, "composed", 0)
         rhs = (
             diffalg.derive(seed_poly, "composed", 0) * q
             + seed_poly * diffalg.derive(q, "composed", 0)
         )
-        if lhs != rhs:
-            failures += 1
-            witness = witness or {"q": q.pretty()}
-    return instances, failures, witness
+        yield None if lhs == rhs else {"q": q.pretty()}
 
 
-def _suite_random_polynomials(max_n: int, max_s: int, rng, trials: int, cap: int):
+@_suite(
+    "random_polynomial_instances",
+    "seeded random rational polynomial triples give exact equality of both sides "
+    "for all checked (n, s)",
+)
+def _check_random_polynomials(max_n, max_s, rng, trials, cap):
     report = polynomials.run_random_checks(
         trials=trials,
         max_n=min(max_n, 6),
@@ -449,60 +463,60 @@ def _suite_random_polynomials(max_n: int, max_s: int, rng, trials: int, cap: int
         seed=rng.randint(0, 2**31),
         cap=cap,
     )
-    return report["instances"], report["failures"], report["first_failure"]
+    # one item per checked instance; the report keeps only its first witness
+    yield from [report["first_failure"]] * report["failures"]
+    yield from [None] * (report["instances"] - report["failures"])
 
 
-def _suite_bell_product_form(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "bell_product_form",
+    "the modified Bell polynomials equal the binomial convolution of classical "
+    "Bell polynomials with shifted variables (partial and complete forms)",
+)
+def _check_bell_product_form(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n in range(max_n + 1):
             for k in range(n + 1):
                 for r in range(k + 1):
-                    instances += 1
                     direct = bell.modified_partial_bell(n, k, r, s, cap=cap)
                     convolved = bell.product_form_partial(n, k, r, s, cap=cap)
-                    if direct != convolved:
-                        failures += 1
-                        witness = witness or {"n": n, "k": k, "r": r, "s": s}
-            instances += 1
-            if bell.modified_complete_bell(n, s, cap=cap) != bell.product_form_complete(
+                    yield None if direct == convolved else {"n": n, "k": k, "r": r, "s": s}
+            ok = bell.modified_complete_bell(n, s, cap=cap) == bell.product_form_complete(
                 n, s, cap=cap
-            ):
-                failures += 1
-                witness = witness or {"n": n, "s": s, "case": "complete"}
-    return instances, failures, witness
+            )
+            yield None if ok else {"n": n, "s": s, "case": "complete"}
 
 
-def _suite_bell_homogeneity(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "bell_homogeneity",
+    "every term of a modified partial Bell polynomial has degree k, weighted "
+    "degree n + r*s, and avoids the excluded variable window",
+)
+def _check_bell_homogeneity(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n in range(max_n + 1):
             for k in range(n + 1):
                 for r in range(k + 1):
                     poly = bell.modified_partial_bell(n, k, r, s, cap=cap)
                     for exps, _c in poly:
-                        instances += 1
                         ok = (
                             bell.term_degree(exps) == k
                             and bell.term_weighted_degree(exps) == n + r * s
                             and not any(n + 1 - k < i <= s for i, _ in exps)
                         )
-                        if not ok:
-                            failures += 1
-                            witness = witness or {"n": n, "k": k, "r": r, "s": s}
-    return instances, failures, witness
+                        yield None if ok else {"n": n, "k": k, "r": r, "s": s}
 
 
-def _suite_bell_recurrence(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "bell_recurrence_in_variables",
+    "the two-sum recurrence in the y variables produces the next modified "
+    "partial Bell polynomial",
+)
+def _check_bell_recurrence(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n in range(max_n):
             for k in range(n + 1):
                 for r in range(k + 2):
-                    instances += 1
                     lhs = bell.modified_partial_bell(n + 1, k + 1, r, s, cap=cap)
                     rhs = bell.YPolynomial.zero()
                     for l in range(n - k + 1):
@@ -515,135 +529,129 @@ def _suite_bell_recurrence(max_n: int, max_s: int, rng, trials: int, cap: int):
                                 bell.YPolynomial.variable(l + s + 1)
                                 * bell.modified_partial_bell(n - l, k, r - 1, s, cap=cap)
                             )
-                    if lhs != rhs:
-                        failures += 1
-                        witness = witness or {"n": n, "k": k, "r": r, "s": s}
-    return instances, failures, witness
+                    yield None if lhs == rhs else {"n": n, "k": k, "r": r, "s": s}
 
 
-def _suite_stirling_s_independent(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "modified_stirling_s_independent",
+    "the geometric substitution collapses every modified partial Bell polynomial "
+    "to the same number regardless of s",
+)
+def _check_stirling_s_independent(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
         for k in range(n + 1):
             for r in range(k + 1):
                 expected = bell.modified_stirling(n, k, r)
                 for s in range(max_s + 1):
-                    instances += 1
                     image = bell.modified_partial_bell(n, k, r, s, cap=cap).substitute_geometric()
                     wanted = {(n + r * s, k): expected} if expected else {}
-                    if image != wanted:
-                        failures += 1
-                        witness = witness or {"n": n, "k": k, "r": r, "s": s}
-    return instances, failures, witness
+                    yield None if image == wanted else {"n": n, "k": k, "r": r, "s": s}
 
 
-def _suite_stirling_base_row(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "modified_stirling_base_row",
+    "at r = 0 the modified Stirling numbers are the classical Stirling numbers "
+    "of the second kind",
+)
+def _check_stirling_base_row(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
         for k in range(n + 1):
-            instances += 1
-            if bell.modified_stirling(n, k, 0) != bell.stirling2(n, k):
-                failures += 1
-                witness = witness or {"n": n, "k": k}
-    return instances, failures, witness
+            ok = bell.modified_stirling(n, k, 0) == bell.stirling2(n, k)
+            yield None if ok else {"n": n, "k": k}
 
 
-def _suite_stirling_convolution(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "stirling_convolution_corrected",
+    "the binomially weighted Stirling convolution equals the definitional "
+    "modified Stirling number",
+)
+def _check_stirling_convolution(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
         for k in range(n + 1):
             for r in range(k + 1):
-                instances += 1
-                if bell.stirling_convolution(n, k, r) != bell.modified_stirling(n, k, r):
-                    failures += 1
-                    witness = witness or {"n": n, "k": k, "r": r}
-    return instances, failures, witness
+                ok = bell.stirling_convolution(n, k, r) == bell.modified_stirling(n, k, r)
+                yield None if ok else {"n": n, "k": k, "r": r}
 
 
-def _suite_stirling_convolution_unweighted(max_n: int, max_s: int, rng, trials: int, cap: int):
+@_suite(
+    "stirling_convolution_unweighted",
+    "counterexample record: the convolution without the binomial weight does NOT "
+    "equal the definitional value",
+    informational=True,
+)
+def _check_stirling_convolution_unweighted(max_n, max_s, rng, trials, cap):
     # deliberately checks the variant WITHOUT the binomial weight; it is false
-    instances = failures = 0
-    witness = None
     for n in range(max_n + 1):
         for k in range(n + 1):
             for r in range(k + 1):
-                instances += 1
                 unweighted = sum(
                     bell.stirling2(n - p, k - r) * bell.stirling2(p, r)
                     for p in range(r, n - k + r + 1)
                 )
                 definitional = bell.modified_stirling(n, k, r)
-                if unweighted != definitional:
-                    failures += 1
-                    witness = witness or {
-                        "n": n,
-                        "k": k,
-                        "r": r,
-                        "unweighted_value": unweighted,
-                        "definition_value": definitional,
-                    }
-    return instances, failures, witness
+                yield None if unweighted == definitional else {
+                    "n": n,
+                    "k": k,
+                    "r": r,
+                    "unweighted_value": unweighted,
+                    "definition_value": definitional,
+                }
 
 
-def _suite_stirling_row_sum(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "stirling_row_sum_doubling",
+    "summing the modified Stirling numbers over r doubles k times the classical "
+    "value: sum_r = 2^k S(n, k)",
+)
+def _check_stirling_row_sum(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
         for k in range(n + 1):
-            instances += 1
             row = sum(bell.modified_stirling(n, k, r) for r in range(k + 1))
-            if row != 2**k * bell.stirling2(n, k):
-                failures += 1
-                witness = witness or {"n": n, "k": k}
-    return instances, failures, witness
+            yield None if row == 2**k * bell.stirling2(n, k) else {"n": n, "k": k}
 
 
-def _suite_stirling_recurrence(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "stirling_recurrence_corrected",
+    "the index-shifted two-term recurrence produces the next modified Stirling "
+    "number",
+)
+def _check_stirling_recurrence(max_n, max_s, rng, trials, cap):
     for n in range(max_n):
         for k in range(n + 1):
             for r in range(k + 2):
-                instances += 1
                 lhs = bell.modified_stirling(n + 1, k + 1, r)
                 rhs = sum(
                     comb(n, l)
                     * (bell.modified_stirling(n - l, k, r) + bell.modified_stirling(n - l, k, r - 1))
                     for l in range(n - k + 1)
                 )
-                if lhs != rhs:
-                    failures += 1
-                    witness = witness or {"n": n, "k": k, "r": r}
-    return instances, failures, witness
+                yield None if lhs == rhs else {"n": n, "k": k, "r": r}
 
 
-def _suite_stirling_recurrence_unshifted(max_n: int, max_s: int, rng, trials: int, cap: int):
+@_suite(
+    "stirling_recurrence_unshifted",
+    "counterexample record: the recurrence variant whose summand ignores the "
+    "summation index does NOT hold",
+    informational=True,
+)
+def _check_stirling_recurrence_unshifted(max_n, max_s, rng, trials, cap):
     # deliberately checks the variant whose summand ignores l; it is false
-    instances = failures = 0
-    witness = None
     for n in range(max_n):
         for k in range(n + 1):
             for r in range(k + 2):
-                instances += 1
                 lhs = bell.modified_stirling(n + 1, k + 1, r)
                 rhs = sum(
                     comb(n, l)
                     * (bell.modified_stirling(n, k, r) + bell.modified_stirling(n, k, r - 1))
                     for l in range(n - k + 1)
                 )
-                if lhs != rhs:
-                    failures += 1
-                    witness = witness or {
-                        "n": n,
-                        "k": k,
-                        "r": r,
-                        "unshifted_value": rhs,
-                        "definition_value": lhs,
-                    }
-    return instances, failures, witness
+                yield None if lhs == rhs else {
+                    "n": n,
+                    "k": k,
+                    "r": r,
+                    "unshifted_value": rhs,
+                    "definition_value": lhs,
+                }
 
 
 def _expand_touchard_sum(n: int) -> dict[tuple[int, int], int]:
@@ -651,246 +659,28 @@ def _expand_touchard_sum(n: int) -> dict[tuple[int, int], int]:
     out: dict[tuple[int, int], int] = {}
     for k, coeff in enumerate(bell.touchard(n)):
         for i in range(k + 1):
-            key = (i, k - i)
-            out[key] = out.get(key, 0) + coeff * comb(k, i)
-            if not out[key]:
-                del out[key]
+            _accumulate(out, (i, k - i), coeff * comb(k, i))
     return out
 
 
-def _suite_touchard_binomial_type(max_n: int, max_s: int, rng, trials: int, cap: int):
-    instances = failures = 0
-    witness = None
+@_suite(
+    "touchard_binomial_type",
+    "the binomial convolution of Touchard polynomials in x and y equals the "
+    "Touchard polynomial of x + y",
+)
+def _check_touchard_binomial_type(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
-        instances += 1
         convolved: dict[tuple[int, int], int] = {}
         for p in range(n + 1):
             left = bell.touchard(n - p)
             right = bell.touchard(p)
             for i, ci in enumerate(left):
                 for j, cj in enumerate(right):
-                    key = (i, j)
-                    convolved[key] = convolved.get(key, 0) + comb(n, p) * ci * cj
-                    if not convolved[key]:
-                        del convolved[key]
-        if convolved != _expand_touchard_sum(n):
-            failures += 1
-            witness = witness or {"n": n}
-    return instances, failures, witness
+                    _accumulate(convolved, (i, j), comb(n, p) * ci * cj)
+        yield None if convolved == _expand_touchard_sum(n) else {"n": n}
 
 
-# ---------------------------------------------------------------------------
-# the registry and the runner
-# ---------------------------------------------------------------------------
-
-SUITES = (
-    (
-        "partition_count_matches_dp",
-        "enumeration of partitions of n agrees with the generating-function count, "
-        "with no duplicates and correct weights",
-        _suite_partition_counts,
-        False,
-    ),
-    (
-        "partition_modification_parameters",
-        "removing or decrementing a part changes weight, length, and multiplicities "
-        "by the expected deltas",
-        _suite_partition_modifications,
-        False,
-    ),
-    (
-        "partition_union_shift_parameters",
-        "union adds multiplicities pointwise; shifting all parts up by s preserves "
-        "length and adds s*length to the weight",
-        _suite_union_shift,
-        False,
-    ),
-    (
-        "truncation_shift_fixed_points",
-        "a partition is fixed by truncation above s exactly when it has no part <= s, "
-        "and shifting up by s always lands on such a fixed point, invertibly",
-        _suite_truncation_fixed_points,
-        False,
-    ),
-    (
-        "newton_identity_residual_zero",
-        "the alternating power-sum / elementary-function convolution equals r * e_r",
-        _suite_newton_residual,
-        False,
-    ),
-    (
-        "elementary_subtract_transform",
-        "the elementary vector after replacing one element b by b - c matches the "
-        "series correction computed from the original vector",
-        _suite_subtract_transform,
-        False,
-    ),
-    (
-        "elementary_subpartition_sum",
-        "e_r of the falling-factorial image equals the binomial-weighted sum over "
-        "sub-partitions of length r",
-        _suite_subpartition_sum,
-        False,
-    ),
-    (
-        "elementary_shifted_subpartition_sum",
-        "the same sub-partition sum rewritten over shifted-down partitions "
-        "reproduces e_r of the truncated falling-factorial image",
-        _suite_shifted_subpartition_sum,
-        False,
-    ),
-    (
-        "binomial_specialization_s0",
-        "at s = 0 the generalized coefficient factors as binom(length, r) times the "
-        "classical chain-rule coefficient",
-        _suite_binomial_specialization,
-        False,
-    ),
-    (
-        "coefficient_r0_reduction",
-        "at r = 0 the generalized coefficient equals the classical chain-rule "
-        "coefficient for every shift s",
-        _suite_r0_reduction,
-        False,
-    ),
-    (
-        "coefficient_integrality",
-        "every table coefficient reduces to a positive integer",
-        _suite_integrality,
-        False,
-    ),
-    (
-        "coefficient_recurrence_matches_closed_form",
-        "the modification recurrence reproduces the closed-form coefficient on every "
-        "table entry (r = 0 slice included)",
-        _suite_recurrence,
-        False,
-    ),
-    (
-        "derivative_oracle_matches_formula",
-        "the n-fold symbolic derivative of F0*G0 equals the assembled closed-formula "
-        "expansion, exactly, term by term",
-        _suite_oracle_vs_formula,
-        False,
-    ),
-    (
-        "classic_chain_rule_expansion",
-        "with g held constant the expansion degenerates to the classical chain-rule "
-        "formula",
-        _suite_chain_rule,
-        False,
-    ),
-    (
-        "product_rule_expansion",
-        "the closed form for the n-th derivative of (f o phi)*(g o psi) with "
-        "independent psi matches the symbolic oracle",
-        _suite_product_rule,
-        False,
-    ),
-    (
-        "psi_substitution_bridge",
-        "substituting psi = phi^(s) into the independent-product expansion recovers "
-        "the composed expansion",
-        _suite_psi_bridge,
-        False,
-    ),
-    (
-        "expansion_weighted_degree_law",
-        "every expansion monomial satisfies the weighted-degree and order-count laws",
-        _suite_weighted_degree_law,
-        False,
-    ),
-    (
-        "derivation_leibniz_rule",
-        "the derivation satisfies D(P*Q) = D(P)*Q + P*D(Q) on products it can form",
-        _suite_leibniz_property,
-        False,
-    ),
-    (
-        "random_polynomial_instances",
-        "seeded random rational polynomial triples give exact equality of both sides "
-        "for all checked (n, s)",
-        _suite_random_polynomials,
-        False,
-    ),
-    (
-        "bell_product_form",
-        "the modified Bell polynomials equal the binomial convolution of classical "
-        "Bell polynomials with shifted variables (partial and complete forms)",
-        _suite_bell_product_form,
-        False,
-    ),
-    (
-        "bell_homogeneity",
-        "every term of a modified partial Bell polynomial has degree k, weighted "
-        "degree n + r*s, and avoids the excluded variable window",
-        _suite_bell_homogeneity,
-        False,
-    ),
-    (
-        "bell_recurrence_in_variables",
-        "the two-sum recurrence in the y variables produces the next modified "
-        "partial Bell polynomial",
-        _suite_bell_recurrence,
-        False,
-    ),
-    (
-        "modified_stirling_s_independent",
-        "the geometric substitution collapses every modified partial Bell polynomial "
-        "to the same number regardless of s",
-        _suite_stirling_s_independent,
-        False,
-    ),
-    (
-        "modified_stirling_base_row",
-        "at r = 0 the modified Stirling numbers are the classical Stirling numbers "
-        "of the second kind",
-        _suite_stirling_base_row,
-        False,
-    ),
-    (
-        "stirling_convolution_corrected",
-        "the binomially weighted Stirling convolution equals the definitional "
-        "modified Stirling number",
-        _suite_stirling_convolution,
-        False,
-    ),
-    (
-        "stirling_convolution_unweighted",
-        "counterexample record: the convolution without the binomial weight does NOT "
-        "equal the definitional value",
-        _suite_stirling_convolution_unweighted,
-        True,
-    ),
-    (
-        "stirling_row_sum_doubling",
-        "summing the modified Stirling numbers over r doubles k times the classical "
-        "value: sum_r = 2^k S(n, k)",
-        _suite_stirling_row_sum,
-        False,
-    ),
-    (
-        "stirling_recurrence_corrected",
-        "the index-shifted two-term recurrence produces the next modified Stirling "
-        "number",
-        _suite_stirling_recurrence,
-        False,
-    ),
-    (
-        "stirling_recurrence_unshifted",
-        "counterexample record: the recurrence variant whose summand ignores the "
-        "summation index does NOT hold",
-        _suite_stirling_recurrence_unshifted,
-        True,
-    ),
-    (
-        "touchard_binomial_type",
-        "the binomial convolution of Touchard polynomials in x and y equals the "
-        "Touchard polynomial of x + y",
-        _suite_touchard_binomial_type,
-        False,
-    ),
-)
+SUITES = tuple(_REGISTRY)
 
 
 def run_all(

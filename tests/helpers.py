@@ -1,5 +1,6 @@
 """Test-side oracles, implemented independently of the package under test."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -149,3 +150,41 @@ def fraction_poly_eval(a, t):
     """a(t) summed term by term, with no Horner scheme."""
     t = Fraction(t)
     return sum((c * t**i for i, c in enumerate(a)), Fraction(0))
+
+
+def terms_add(a, b):
+    """Sum of two {monomial: coeff} dicts, zero coefficients dropped."""
+    out = Counter(a)
+    for key, c in b.items():
+        out[key] += c
+    return {key: c for key, c in out.items() if c}
+
+
+def terms_scale(a, factor):
+    return {key: factor * c for key, c in a.items() if factor * c}
+
+
+def terms_mul(a, b, key_product):
+    """Product of two {monomial: coeff} dicts, monomials multiplied by *key_product*."""
+    out = Counter()
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            out[key_product(k1, k2)] += c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def exponents_mul(a, b):
+    """Product of two monomials written as ((index, exponent), ...) maps."""
+    total = Counter(dict(a))
+    total.update(dict(b))
+    return tuple(sorted(total.items()))
+
+
+def diff_monomials_mul(a, b):
+    """(f, g, y, z) monomial product; each of f and g comes from whichever side has it."""
+    return (
+        a[0] if b[0] is None else b[0],
+        a[1] if b[1] is None else b[1],
+        exponents_mul(a[2], b[2]),
+        exponents_mul(a[3], b[3]),
+    )

@@ -1,6 +1,8 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faadibruno.bell import (
     StirlingTable,
@@ -19,7 +21,7 @@ from faadibruno.bell import (
     touchard,
 )
 
-from helpers import stirling_triangular
+from helpers import exponents_mul, stirling_triangular, terms_add, terms_mul, terms_scale
 
 
 def ypoly(*terms):
@@ -270,3 +272,68 @@ def test_stirling_table():
     data = table.to_json_dict()
     assert data["n_max"] == 2
     assert {"n": 2, "k": 2, "r": 1, "value": "2"} in data["entries"]
+
+
+# Property tests: the shared sparse core against the plain dict-of-terms
+# reference in tests/helpers.py.
+
+exponent_maps = st.dictionaries(st.integers(1, 5), st.integers(1, 3), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+y_terms = st.dictionaries(exponent_maps, st.integers(-5, 5), max_size=5)
+
+
+def assert_canonical(p):
+    for exps, coeff in p:
+        assert coeff != 0
+        indices = [i for i, _ in exps]
+        assert indices == sorted(set(indices))
+        assert all(e >= 1 for _, e in exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(y_terms, y_terms, y_terms, st.integers(-3, 3))
+def test_y_operations_stay_canonical_and_match_reference(a, b, c, factor):
+    p, q, r = YPolynomial(a), YPolynomial(b), YPolynomial(c)
+    ra, rb = terms_add(a, {}), terms_add(b, {})
+    cases = [
+        (p, ra),
+        (p + q, terms_add(ra, rb)),
+        (p - q, terms_add(ra, terms_scale(rb, -1))),
+        (factor * p, terms_scale(ra, factor)),
+        (p * factor, terms_scale(ra, factor)),
+        (p * q, terms_mul(ra, rb, exponents_mul)),
+        (p.shift_vars(2), {tuple((i + 2, e) for i, e in k): v for k, v in ra.items()}),
+    ]
+    for result, expected in cases:
+        assert_canonical(result)
+        assert dict(result) == expected
+        assert len(result) == len(expected) and bool(result) == bool(expected)
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + YPolynomial.zero() == p
+    assert p * YPolynomial.one() == p
+    assert not (p - p) and p - p == YPolynomial.zero()
+    assert [t for t in p.terms()] == sorted(
+        ra.items(), key=lambda t: (sum(i * e for i, e in t[0]), t[0])
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), y_terms, st.integers(-3, 3))
+def test_cached_partial_bell_survives_use_as_operand(n, k, a, factor):
+    cached = partial_bell(n, k)
+    other = YPolynomial(a)
+    total = cached + other
+    assert total == other + cached
+    assert total - other == cached and other - total == (-1) * cached
+    assert not (cached - cached)
+    assert factor * cached == cached * factor
+    assert cached * other == other * cached
+    assert (cached * cached).shift_vars(1) == cached.shift_vars(1) * cached.shift_vars(1)
+    cached.substitute_geometric()
+    assert partial_bell(n, k) is cached
+    assert cached == partial_bell.__wrapped__(n, k)

@@ -269,3 +269,17 @@ def test_output_bytes_unchanged(args, capsysbinary):
     assert main(args.split()) == 0
     stdout = capsysbinary.readouterr().out
     assert hashlib.sha256(stdout).hexdigest() == OUTPUT_SHA256[args]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "--n", "2", "--s", "1"], "csv output is not defined for expansions\n"),
+        (["bell", "--n", "3", "--k", "2"], "csv output is not defined for Bell polynomials\n"),
+    ],
+)
+def test_polynomial_csv_is_refused(argv, message, capsys):
+    assert main([*argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message

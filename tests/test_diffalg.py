@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faadibruno.bell import YPolynomial
 from faadibruno.diffalg import (
     DiffMonomial,
     DiffPolynomial,
@@ -14,6 +17,8 @@ from faadibruno.diffalg import (
     substitute_psi,
 )
 from faadibruno.partitions import CapExceeded
+
+from helpers import diff_monomials_mul, terms_add, terms_mul, terms_scale
 
 
 SEED = DiffMonomial(0, 0, (), ())
@@ -218,3 +223,77 @@ def test_canonical_term_order_is_stable():
         key=lambda m: (m.f_order, m.g_order, m.y, m.z),
         reverse=True,
     )
+
+
+# Property tests: the shared sparse core against the plain dict-of-terms
+# reference in tests/helpers.py.
+
+exponent_maps = st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+orders = st.none() | st.integers(0, 3)
+variable_monomials = st.builds(DiffMonomial, st.none(), st.none(), exponent_maps, exponent_maps)
+carried_monomials = st.builds(DiffMonomial, orders, orders, exponent_maps, exponent_maps)
+variable_terms = st.dictionaries(variable_monomials, st.integers(-5, 5), max_size=4)
+carried_terms = st.dictionaries(carried_monomials, st.integers(-5, 5), max_size=4)
+
+
+def assert_canonical(p):
+    for mono, coeff in p:
+        assert coeff != 0
+        for exps in (mono.y, mono.z):
+            indices = [i for i, _ in exps]
+            assert indices == sorted(set(indices))
+            assert all(e >= 1 for _, e in exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(carried_terms, variable_terms, variable_terms, st.integers(-3, 3))
+def test_diff_operations_stay_canonical_and_match_reference(a, b, c, factor):
+    p, q, r = DiffPolynomial(a), DiffPolynomial(b), DiffPolynomial(c)
+    ra, rb = terms_add(a, {}), terms_add(b, {})
+    cases = [
+        (p, ra),
+        (p + q, terms_add(ra, rb)),
+        (p - q, terms_add(ra, terms_scale(rb, -1))),
+        (factor * p, terms_scale(ra, factor)),
+        (p * factor, terms_scale(ra, factor)),
+        (p * q, terms_mul(ra, rb, diff_monomials_mul)),
+        (q * p, terms_mul(rb, ra, diff_monomials_mul)),
+    ]
+    for result, expected in cases:
+        assert_canonical(result)
+        assert dict(result) == expected
+        assert len(result) == len(expected) and bool(result) == bool(expected)
+    # ring laws, with at most one factor carrying F and G symbols
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + DiffPolynomial.zero() == p
+    assert p * DiffPolynomial.term(DiffMonomial(None, None, (), ())) == p
+    assert not (p - p) and p - p == DiffPolynomial.zero()
+    assert_canonical(derive(q, "independent"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(carried_monomials, carried_monomials)
+def test_diff_product_rejects_two_f_or_two_g_factors(m1, m2):
+    p, q = DiffPolynomial.term(m1), DiffPolynomial.term(m2)
+    two_f = m1.f_order is not None and m2.f_order is not None
+    two_g = m1.g_order is not None and m2.g_order is not None
+    if two_f or two_g:
+        with pytest.raises(ValueError, match="two [fg] factors"):
+            p * q
+    else:
+        assert dict(p * q) == {diff_monomials_mul(m1, m2): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(carried_terms, st.dictionaries(exponent_maps, st.integers(-5, 5), max_size=4))
+def test_diff_polynomial_never_equals_y_polynomial(a, b):
+    d, y = DiffPolynomial(a), YPolynomial(b)
+    assert d != y and y != d
+    assert not (d == y) and not (y == d)
+    assert DiffPolynomial.zero() != YPolynomial.zero()
