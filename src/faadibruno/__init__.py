@@ -43,11 +43,9 @@ from .diffalg import (
 from .partitions import (
     DEFAULT_WEIGHT_CAP,
     CapExceeded,
-    Multiset,
     Partition,
     enumerate_constrained,
     enumerate_partitions,
-    make_partition,
 )
 from .polynomials import (
     RationalPolynomial,

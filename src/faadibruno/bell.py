@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb
 
 from .coefficients import c_coeff, faa_di_bruno_coeff
-from .partitions import DEFAULT_WEIGHT_CAP, enumerate_constrained
+from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_constrained
 from .sparse import ExponentMap as Exps
 from .sparse import SparsePolynomial, _accumulate, _merge
 
@@ -227,9 +227,11 @@ class StirlingTable:
     entries: tuple[tuple[int, int, int, int], ...]  # (n, k, r, value)
 
     @classmethod
-    def build(cls, n_max: int) -> "StirlingTable":
+    def build(cls, n_max: int, cap: int = DEFAULT_WEIGHT_CAP) -> "StirlingTable":
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
+        if n_max > cap:
+            raise CapExceeded(f"table (n_max={n_max}) reaches weight {n_max} > cap {cap}")
         entries = []
         for n in range(n_max + 1):
             for k in range(n + 1):

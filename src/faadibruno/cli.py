@@ -194,7 +194,7 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
-    return _emit_table(StirlingTable.build(args.n_max), args)
+    return _emit_table(StirlingTable.build(args.n_max, cap=args.cap), args)
 
 
 def _cmd_check(args) -> int:

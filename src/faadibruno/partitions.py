@@ -1,14 +1,18 @@
-"""Integer partitions in sparse multiplicity form, and the modifications used throughout.
+"""Integer partitions as descending parts tuples, and the modifications used throughout.
 
-A partition is stored as a map from part size i >= 1 to its multiplicity
-m_i >= 1; absent sizes have multiplicity 0, and m_0 is identically 0.  The
-multiplicity view indexes every coefficient formula in this package; the
-summand sequence is derived on demand.
+A partition is stored once, as its summand sequence in decreasing order
+(the part-sequence form of Knuth, TAOCP Vol. 4A, 7.2.1.4).  Equality and
+hashing compare that tuple.  The (part size, multiplicity) pairs m_i that
+index every coefficient formula in this package are counted once, at
+construction, in ascending order of i; absent sizes have multiplicity 0,
+and m_0 is identically 0.  Every modification slices or rebuilds the
+tuple.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Iterable, Iterator
 
 # Enumerations and expansions refuse to touch partitions heavier than this
@@ -20,85 +24,28 @@ class CapExceeded(ValueError):
     """An operation would enumerate or expand past the configured weight cap."""
 
 
-class Multiset:
-    """A finite multiset of non-negative integers, stored sorted decreasing."""
-
-    __slots__ = ("_elements",)
-
-    def __init__(self, elements: Iterable[int] = ()):
-        elems = []
-        for x in elements:
-            if not isinstance(x, int) or x < 0:
-                raise ValueError(f"multiset elements must be non-negative integers, got {x!r}")
-            elems.append(x)
-        elems.sort(reverse=True)
-        self._elements = tuple(elems)
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return self._elements
-
-    def remove_one(self, value: int) -> "Multiset":
-        """Return a copy with one occurrence of *value* removed."""
-        elems = list(self._elements)
-        try:
-            elems.remove(value)
-        except ValueError:
-            raise ValueError(f"{value} does not occur in {self!r}") from None
-        out = object.__new__(Multiset)
-        out._elements = tuple(elems)
-        return out
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._elements)
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __contains__(self, value: int) -> bool:
-        return value in self._elements
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return self._elements == other._elements
-
-    def __hash__(self) -> int:
-        return hash(self._elements)
-
-    def __repr__(self) -> str:
-        return f"Multiset({list(self._elements)})"
-
-
 class Partition:
-    """An integer partition, canonically represented by its part multiplicities."""
+    """An integer partition, stored once as its descending parts tuple."""
 
-    __slots__ = ("_mults", "_items", "_weight", "_length")
+    __slots__ = ("_parts", "_items", "_weight")
 
-    def __init__(self, parts: Iterable[int] = ()):
-        mults: dict[int, int] = {}
+    def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        parts = tuple(parts)
         for a in parts:
             if not isinstance(a, int) or a <= 0:
                 raise ValueError(f"partition parts must be positive integers, got {a!r}")
-            mults[a] = mults.get(a, 0) + 1
-        self._finish(mults)
-
-    def _finish(
-        self, mults: dict[int, int], weight: int | None = None, length: int | None = None
-    ) -> None:
-        self._mults = mults
-        self._items = tuple(sorted(mults.items()))
-        self._weight = sum(i * m for i, m in mults.items()) if weight is None else weight
-        self._length = sum(mults.values()) if length is None else length
+        return cls._make(tuple(sorted(parts, reverse=True)))
 
     @classmethod
-    def _from_mults(
-        cls, mults: dict[int, int], weight: int | None = None, length: int | None = None
-    ) -> "Partition":
-        # internal fast path: mults must already be canonical (keys >= 1, values >= 1);
-        # a caller that knows the weight or length passes it instead of a re-summation
+    def _make(cls, parts: tuple[int, ...], items: tuple | None = None) -> "Partition":
+        # the one constructor: parts must already be a descending tuple of
+        # positive integers; a caller that tracks the (part, multiplicity)
+        # items passes them, and otherwise they are counted off the tuple,
+        # whose reverse meets the part sizes in ascending order
         p = object.__new__(cls)
-        p._finish(mults, weight, length)
+        p._parts = parts
+        p._items = tuple(Counter(reversed(parts)).items()) if items is None else items
+        p._weight = sum(parts)
         return p
 
     # -- basic parameters ---------------------------------------------------
@@ -109,15 +56,12 @@ class Partition:
 
     @property
     def length(self) -> int:
-        return self._length
+        return len(self._parts)
 
     @property
     def parts(self) -> tuple[int, ...]:
         """The summand sequence, in decreasing order."""
-        out: list[int] = []
-        for i in sorted(self._mults, reverse=True):
-            out.extend([i] * self._mults[i])
-        return tuple(out)
+        return self._parts
 
     def items(self) -> tuple[tuple[int, int], ...]:
         """(part size, multiplicity) pairs, ascending by part size."""
@@ -127,110 +71,93 @@ class Partition:
         """m_i; zero for absent sizes and for i = 0 (by convention)."""
         if i < 0:
             raise ValueError("part sizes are non-negative; no multiplicity for i < 0")
-        return self._mults.get(i, 0)
+        return self._parts.count(i)
 
     def moment(self, k: int) -> int:
         """Sum of the k-th powers of the parts, k >= 1."""
         if k <= 0:
             raise ValueError("moments are defined for k >= 1 only")
-        return sum(i**k * m for i, m in self._mults.items())
+        return sum(i**k * m for i, m in self._items)
 
     def length_above(self, s: int) -> int:
         """Number of parts strictly greater than s."""
         if s < 0:
             raise ValueError("s must be non-negative")
-        return sum(m for i, m in self._mults.items() if i > s)
+        parts = self._parts
+        k = len(parts)
+        while k and parts[k - 1] <= s:
+            k -= 1
+        return k
+
+    def _last(self, j: int) -> int:
+        # index of the last copy of j; every copy sits in one contiguous run
+        if j not in self._parts:
+            raise ValueError(f"partition has no part equal to {j}")
+        return self._parts.index(j) + self._parts.count(j) - 1
 
     # -- modifications ------------------------------------------------------
 
     def truncate_above(self, s: int) -> "Partition":
         """Keep only the parts strictly greater than s (s = 0 is the identity)."""
-        if s < 0:
-            raise ValueError("s must be non-negative")
-        if s == 0:
+        k = self.length_above(s)
+        if k == len(self._parts):
             return self
-        return Partition._from_mults({i: m for i, m in self._mults.items() if i > s})
+        return Partition._make(self._parts[:k])
 
-    def pochhammer(self, s: int) -> Multiset:
+    def pochhammer(self, s: int) -> tuple[int, ...]:
         """Replace each part a by the falling factorial a(a-1)...(a-s+1).
 
         Parts smaller than s are rejected (their falling factorial would
         degenerate to zero); s = 0 sends every part to the empty product 1.
+        The falling factorial is monotone on parts >= s, so the image is
+        again in decreasing order.
         """
         if s < 0:
             raise ValueError("s must be non-negative")
-        values: list[int] = []
-        for i, m in self._mults.items():
-            if i < s:
-                raise ValueError(f"part {i} is smaller than s={s}")
-            values.extend([math.perm(i, s)] * m)
-        return Multiset(values)
+        if self._parts and self._parts[-1] < s:
+            raise ValueError(f"part {self._parts[-1]} is smaller than s={s}")
+        return tuple(math.perm(a, s) for a in self._parts)
 
     def union(self, other: "Partition") -> "Partition":
         """Combine the parts of both partitions (multiplicities add)."""
-        mults = dict(self._mults)
-        for i, m in other._mults.items():
-            mults[i] = mults.get(i, 0) + m
-        return Partition._from_mults(mults)
+        return Partition._make(tuple(sorted(self._parts + other._parts, reverse=True)))
 
     def shift_up(self, s: int) -> "Partition":
         """Add s to every part; weight grows by s * length."""
         if s < 0:
             raise ValueError("s must be non-negative")
-        return Partition._from_mults({i + s: m for i, m in self._mults.items()})
+        return Partition._make(tuple(a + s for a in self._parts))
 
     def remove_part(self, j: int) -> "Partition":
         """Drop one part equal to j."""
-        if self._mults.get(j, 0) < 1:
-            raise ValueError(f"partition has no part equal to {j}")
-        mults = dict(self._mults)
-        if mults[j] == 1:
-            del mults[j]
-        else:
-            mults[j] -= 1
-        return Partition._from_mults(mults, self._weight - j, self._length - 1)
+        k = self._last(j)
+        return Partition._make(self._parts[:k] + self._parts[k + 1 :])
 
     def decrement_part(self, j: int) -> "Partition":
         """Turn one part equal to j into j - 1, dropping it entirely when j = 1."""
-        if self._mults.get(j, 0) < 1:
-            raise ValueError(f"partition has no part equal to {j}")
-        mults = dict(self._mults)
-        if mults[j] == 1:
-            del mults[j]
-        else:
-            mults[j] -= 1
-        if j > 1:
-            mults[j - 1] = mults.get(j - 1, 0) + 1
-            return Partition._from_mults(mults, self._weight - 1, self._length)
-        return Partition._from_mults(mults, self._weight - 1, self._length - 1)
+        # lowering the last copy of j keeps the tuple descending
+        k = self._last(j)
+        lowered = (j - 1,) if j > 1 else ()
+        return Partition._make(self._parts[:k] + lowered + self._parts[k + 1 :])
 
     # -- serialization and protocol support ----------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"parts": list(self.parts)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Partition":
-        return cls(data["parts"])
+        return {"parts": list(self._parts)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self._items == other._items
+        return self._parts == other._parts
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(self._parts)
 
     def __bool__(self) -> bool:
-        return bool(self._mults)
+        return bool(self._parts)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
-
-
-def make_partition(parts: Iterable[int]) -> Partition:
-    """Canonical partition with one part per entry of *parts* (order irrelevant)."""
-    return Partition(parts)
+        return f"Partition({list(self._parts)})"
 
 
 def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Partition]:
@@ -285,10 +212,7 @@ def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Part
             rem -= part
             if part > s:
                 above += 1
-        # a fresh dict: dict(mults) would copy the working dict's larger table
-        yield Partition._from_mults(
-            {i: m for i, m in mults.items()}, total, len(parts) + ones
-        )
+        yield Partition._make(tuple(parts) + (1,) * ones, tuple(sorted(mults.items())))
         if ones:
             del mults[1]
             rem, ones = ones, 0

@@ -265,8 +265,6 @@ def run_random_checks(
     max_s: int,
     seed: int,
     cap: int = DEFAULT_WEIGHT_CAP,
-    max_degree: int = 5,
-    max_height: int = 10,
 ) -> dict:
     """Seeded random triples (f, g, phi), each checked for every n <= max_n, s <= max_s."""
     rng = random.Random(seed)
@@ -279,9 +277,9 @@ def run_random_checks(
     failures = 0
     first_failure = None
     for trial in range(trials):
-        f = random_polynomial(rng, max_degree, max_height)
-        g = random_polynomial(rng, max_degree, max_height)
-        phi = random_polynomial(rng, max_degree, max_height)
+        f = random_polynomial(rng)
+        g = random_polynomial(rng)
+        phi = random_polynomial(rng)
         for s in range(max_s + 1):
             inst = FormulaInstantiator(f, g, phi, s)
             lhs = f.compose(phi) * g.compose(inst.phi_s)

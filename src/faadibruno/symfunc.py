@@ -1,16 +1,19 @@
-"""Elementary symmetric functions and power sums on integer multisets."""
+"""Elementary symmetric functions and power sums on integer multisets.
+
+A multiset is any tuple of non-negative integers; its order is irrelevant.
+"""
 
 from __future__ import annotations
 
 from math import comb, perm
 
-from .partitions import Multiset, Partition
+from .partitions import Partition
 
 # index r -> e_r of the source multiset; e_0 == 1, e_r == 0 past the cardinality
 ElementaryVector = tuple[int, ...]
 
 
-def elementary_moments(b: Multiset, r_max: int) -> ElementaryVector:
+def elementary_moments(b: tuple[int, ...], r_max: int) -> ElementaryVector:
     """Coefficients of prod_l (1 + b_l X) up to degree r_max.
 
     One multiplication pass per element, so the cost is O(len(b) * r_max).
@@ -27,14 +30,14 @@ def elementary_moments(b: Multiset, r_max: int) -> ElementaryVector:
     return tuple(e)
 
 
-def power_sum(b: Multiset, k: int) -> int:
+def power_sum(b: tuple[int, ...], k: int) -> int:
     """Sum of k-th powers over the multiset, k >= 1."""
     if k <= 0:
         raise ValueError("power sums are defined for k >= 1 only")
     return sum(x**k for x in b)
 
 
-def newton_residual(b: Multiset, r: int) -> int:
+def newton_residual(b: tuple[int, ...], r: int) -> int:
     """sum_{k=1..r} (-1)^(k-1) p_k e_{r-k}  minus  r * e_r.
 
     Identically zero; exposed as a residual so the verification suites can
@@ -49,7 +52,7 @@ def newton_residual(b: Multiset, r: int) -> int:
     return acc - r * e[r]
 
 
-def subtract_transform(b: Multiset, l_value: int, c: int, r_max: int) -> ElementaryVector:
+def subtract_transform(b: tuple[int, ...], l_value: int, c: int, r_max: int) -> ElementaryVector:
     """Elementary vector of b after replacing one occurrence of l_value by l_value - c.
 
     Computed from the original vector alone:

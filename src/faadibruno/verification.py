@@ -32,7 +32,6 @@ from .coefficients import (
 )
 from .partitions import (
     DEFAULT_WEIGHT_CAP,
-    Multiset,
     Partition,
     enumerate_partitions,
 )
@@ -59,7 +58,7 @@ def _all_partitions_upto(n_max: int) -> list[Partition]:
 def _multisets(card_max: int, entry_max: int):
     for card in range(card_max + 1):
         for combo in combinations_with_replacement(range(1, entry_max + 1), card):
-            yield Multiset(combo)
+            yield combo[::-1]
 
 
 def _derivative_chain(max_n: int, mode: str, s: int = 0):
@@ -219,7 +218,7 @@ def _check_newton_residual(max_n, max_s, rng, trials, cap):
     for b in _multisets(card_max, 8):
         for r in range(1, card_max + 1):
             ok = symfunc.newton_residual(b, r) == 0
-            yield None if ok else {"multiset": list(b.elements), "r": r}
+            yield None if ok else {"multiset": list(b), "r": r}
 
 
 @_suite(
@@ -232,16 +231,17 @@ def _check_subtract_transform(max_n, max_s, rng, trials, cap):
         r_max = len(b)
         if not r_max:
             continue
-        for value in sorted(set(b.elements)):
-            rest = b.remove_one(value)
+        for value in sorted(set(b)):
+            i = b.index(value)
+            rest = b[:i] + b[i + 1 :]
             ok = symfunc.subtract_transform(
                 b, value, value, r_max
             ) == symfunc.elementary_moments(rest, r_max) and all(
                 symfunc.subtract_transform(b, value, c, r_max)
-                == symfunc.elementary_moments(Multiset(list(rest) + [value - c]), r_max)
+                == symfunc.elementary_moments(rest + (value - c,), r_max)
                 for c in (0, 1, value // 2)
             )
-            yield None if ok else {"multiset": list(b.elements), "value": value}
+            yield None if ok else {"multiset": list(b), "value": value}
 
 
 @_suite(

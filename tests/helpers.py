@@ -52,6 +52,38 @@ def partition_count_dp(n_max):
     return counts
 
 
+def remove_one(values, value):
+    """The tuple *values* with its first occurrence of *value* left out."""
+    out = list(values)
+    out.remove(value)
+    return tuple(out)
+
+
+def partition_reference(parts, s):
+    """The read-only queries of a partition, from its plain list of parts.
+
+    Returns (parts, items, multiplicities, moments, length_above, pochhammer):
+    the parts sorted decreasing, the (size, multiplicity) pairs ascending, a
+    Counter of the sizes, the moments k = 1..4, the number of parts above s,
+    and the falling factorials a(a-1)...(a-s+1) sorted decreasing (None when
+    some part is smaller than s).
+    """
+    counts = Counter(parts)
+    moments = [sum(a**k for a in parts) for k in range(1, 5)]
+    if any(a < s for a in parts):
+        falling = None
+    else:
+        falling = tuple(sorted((prod(range(a - s + 1, a + 1)) for a in parts), reverse=True))
+    return (
+        tuple(sorted(parts, reverse=True)),
+        tuple(sorted(counts.items())),
+        counts,
+        moments,
+        sum(1 for a in parts if a > s),
+        falling,
+    )
+
+
 def elementary_by_subsets(values, r):
     """e_r as the literal sum of r-fold products over index subsets."""
     values = list(values)

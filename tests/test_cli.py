@@ -114,6 +114,14 @@ def test_cap_flag_moves_limit():
     assert json.loads(proc.stdout)["count"] == 176
 
 
+def test_stirling_respects_cap():
+    proc = run_cli("stirling", "--n-max", "12", "--cap", "5", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    proc = run_cli("stirling", "--n-max", "5", "--cap", "5", "--format", "csv")
+    assert proc.stdout.count("\n") == 56  # one line per 0 <= r <= k <= n <= 5
+
+
 def test_verify_small_bounds_pass():
     proc = run_cli("verify", "--max-n", "2", "--max-s", "1", "--trials", "2", "--format", "json")
     report = json.loads(proc.stdout)

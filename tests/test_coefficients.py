@@ -13,9 +13,9 @@ from faadibruno.coefficients import (
 )
 from faadibruno.partitions import (
     CapExceeded,
+    Partition,
     enumerate_constrained,
     enumerate_partitions,
-    make_partition,
 )
 from faadibruno.symfunc import elementary_moments
 
@@ -23,11 +23,11 @@ from helpers import count_set_partitions_of_type
 
 
 def test_faa_di_bruno_coeff_examples():
-    assert faa_di_bruno_coeff(make_partition([2, 1, 1])) == 6
-    assert faa_di_bruno_coeff(make_partition([])) == 1
+    assert faa_di_bruno_coeff(Partition([2, 1, 1])) == 6
+    assert faa_di_bruno_coeff(Partition([])) == 1
     for n in range(1, 8):
-        assert faa_di_bruno_coeff(make_partition([1] * n)) == 1
-        assert faa_di_bruno_coeff(make_partition([n])) == 1
+        assert faa_di_bruno_coeff(Partition([1] * n)) == 1
+        assert faa_di_bruno_coeff(Partition([n])) == 1
 
 
 def test_faa_di_bruno_counts_set_partitions():
@@ -37,26 +37,26 @@ def test_faa_di_bruno_counts_set_partitions():
 
 
 def test_c_coeff_hand_values():
-    assert c_coeff(make_partition([2]), 1, 1) == 1
-    assert c_coeff(make_partition([2, 1]), 1, 1) == 2
-    assert c_coeff(make_partition([2, 2]), 2, 1) == 1
+    assert c_coeff(Partition([2]), 1, 1) == 1
+    assert c_coeff(Partition([2, 1]), 1, 1) == 2
+    assert c_coeff(Partition([2, 2]), 2, 1) == 1
     for s in range(4):
-        assert c_coeff(make_partition([]), 0, s) == 1
+        assert c_coeff(Partition([]), 0, s) == 1
 
 
 def test_c_coeff_vanishing_and_preconditions():
     # too few parts above s: the elementary factor dies
-    assert c_coeff(make_partition([1, 1]), 1, 1) == 0
+    assert c_coeff(Partition([1, 1]), 1, 1) == 0
     with pytest.raises(ValueError):
-        c_coeff(make_partition([1]), 2, 1)  # weight < r*s
+        c_coeff(Partition([1]), 2, 1)  # weight < r*s
     with pytest.raises(ValueError):
-        c_coeff(make_partition([2]), -1, 0)
+        c_coeff(Partition([2]), -1, 0)
 
 
 def test_recurrence_hand_values():
-    assert c_coeff_by_recurrence(make_partition([1]), 0, 0) == 1
-    assert c_coeff_by_recurrence(make_partition([2, 1]), 1, 1) == 2
-    assert c_coeff_by_recurrence(make_partition([1, 1]), 1, 0) == 2
+    assert c_coeff_by_recurrence(Partition([1]), 0, 0) == 1
+    assert c_coeff_by_recurrence(Partition([2, 1]), 1, 1) == 2
+    assert c_coeff_by_recurrence(Partition([1, 1]), 1, 0) == 2
 
 
 def test_recurrence_matches_closed_form():
@@ -72,7 +72,7 @@ def test_recurrence_matches_closed_form():
 def test_recurrence_deep_decrement_chain():
     # (1241) reaches (41) through a chain of 1,200 decrements before the
     # removal of the part s + 1 = 41; a recursive walk overflows the stack
-    lam = make_partition([1241])
+    lam = Partition([1241])
     assert 1241 - 40 > sys.getrecursionlimit()
     assert c_coeff_by_recurrence(lam, 1, 40) == c_coeff(lam, 1, 40)
 

@@ -4,25 +4,23 @@ from hypothesis import strategies as st
 
 from faadibruno.partitions import (
     CapExceeded,
-    Multiset,
     Partition,
     enumerate_constrained,
     enumerate_partitions,
-    make_partition,
 )
 
-from helpers import constrained_reference, partition_count_dp
+from helpers import constrained_reference, partition_count_dp, partition_reference
 
 
 def test_make_partition_counts_multiplicities():
-    lam = make_partition([2, 1, 1])
+    lam = Partition([2, 1, 1])
     assert lam.items() == ((1, 2), (2, 1))
     assert lam.weight == 4
     assert lam.length == 3
 
 
 def test_empty_partition():
-    lam = make_partition([])
+    lam = Partition([])
     assert lam.weight == 0
     assert lam.length == 0
     assert not lam
@@ -30,19 +28,19 @@ def test_empty_partition():
 
 
 def test_order_insensitive_equality_and_hash():
-    assert make_partition([1, 2]) == make_partition([2, 1])
-    assert hash(make_partition([1, 2])) == hash(make_partition([2, 1]))
-    assert make_partition([2]) != make_partition([1, 1])
+    assert Partition([1, 2]) == Partition([2, 1])
+    assert hash(Partition([1, 2])) == hash(Partition([2, 1]))
+    assert Partition([2]) != Partition([1, 1])
 
 
 @pytest.mark.parametrize("bad", [0, -1, "2"])
 def test_make_partition_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
-        make_partition([bad])
+        Partition([bad])
 
 
 def test_multiplicity_queries():
-    lam = make_partition([2, 1, 1])
+    lam = Partition([2, 1, 1])
     assert lam.multiplicity(1) == 2
     assert lam.multiplicity(2) == 1
     assert lam.multiplicity(3) == 0
@@ -52,12 +50,12 @@ def test_multiplicity_queries():
 
 
 def test_moments():
-    assert make_partition([2, 1]).moment(2) == 5
-    assert make_partition([3, 3]).moment(3) == 54
+    assert Partition([2, 1]).moment(2) == 5
+    assert Partition([3, 3]).moment(3) == 54
     for k in range(1, 6):
-        assert make_partition([]).moment(k) == 0
-        assert make_partition([1, 1, 1]).moment(k) == 3
-    lam = make_partition([4, 2, 2, 1])
+        assert Partition([]).moment(k) == 0
+        assert Partition([1, 1, 1]).moment(k) == 3
+    lam = Partition([4, 2, 2, 1])
     assert lam.moment(1) == lam.weight
     with pytest.raises(ValueError):
         lam.moment(0)
@@ -160,9 +158,9 @@ def test_enumerate_constrained_rejects_negative_length():
 
 
 def test_truncate_above():
-    assert make_partition([2, 1]).truncate_above(1) == make_partition([2])
-    assert make_partition([1, 1]).truncate_above(1) == make_partition([])
-    lam = make_partition([5, 3, 3, 1])
+    assert Partition([2, 1]).truncate_above(1) == Partition([2])
+    assert Partition([1, 1]).truncate_above(1) == Partition([])
+    lam = Partition([5, 3, 3, 1])
     assert lam.truncate_above(0) == lam
 
 
@@ -175,24 +173,24 @@ def test_truncation_fixed_point_characterization():
                 shifted = lam.shift_up(s)
                 assert shifted.truncate_above(s) == shifted
                 if fixed and lam:
-                    down = make_partition([a - s for a in lam.parts])
+                    down = Partition([a - s for a in lam.parts])
                     assert down.shift_up(s) == lam
 
 
 def test_pochhammer():
-    assert make_partition([3, 2]).pochhammer(1) == Multiset([3, 2])
-    assert make_partition([3, 2]).pochhammer(2) == Multiset([6, 2])
-    assert make_partition([2, 2]).pochhammer(0) == Multiset([1, 1])
+    assert Partition([3, 2]).pochhammer(1) == (3, 2)
+    assert Partition([2, 3]).pochhammer(2) == (6, 2)
+    assert Partition([2, 2]).pochhammer(0) == (1, 1)
     with pytest.raises(ValueError):
-        make_partition([2, 1]).pochhammer(2)
+        Partition([2, 1]).pochhammer(2)
     with pytest.raises(ValueError):
-        make_partition([3]).pochhammer(-1)
+        Partition([3]).pochhammer(-1)
 
 
 def test_union_and_shift_examples():
-    assert make_partition([2, 1]).union(make_partition([1])) == make_partition([2, 1, 1])
-    assert make_partition([2, 1]).shift_up(1) == make_partition([3, 2])
-    assert make_partition([]).shift_up(5) == make_partition([])
+    assert Partition([2, 1]).union(Partition([1])) == Partition([2, 1, 1])
+    assert Partition([2, 1]).shift_up(1) == Partition([3, 2])
+    assert Partition([]).shift_up(5) == Partition([])
 
 
 def test_union_shift_parameter_laws_exhaustive():
@@ -216,15 +214,15 @@ def test_union_shift_parameter_laws_exhaustive():
 
 
 def test_remove_and_decrement_examples():
-    assert make_partition([2, 2, 1]).remove_part(2) == make_partition([2, 1])
-    assert make_partition([1]).remove_part(1) == make_partition([])
+    assert Partition([2, 2, 1]).remove_part(2) == Partition([2, 1])
+    assert Partition([1]).remove_part(1) == Partition([])
     with pytest.raises(ValueError):
-        make_partition([3, 1]).remove_part(2)
-    assert make_partition([2, 2, 1]).decrement_part(2) == make_partition([2, 1, 1])
-    assert make_partition([2, 1]).decrement_part(1) == make_partition([2])
-    assert make_partition([2]).decrement_part(2) == make_partition([1])
+        Partition([3, 1]).remove_part(2)
+    assert Partition([2, 2, 1]).decrement_part(2) == Partition([2, 1, 1])
+    assert Partition([2, 1]).decrement_part(1) == Partition([2])
+    assert Partition([2]).decrement_part(2) == Partition([1])
     with pytest.raises(ValueError):
-        make_partition([3, 1]).decrement_part(2)
+        Partition([3, 1]).decrement_part(2)
 
 
 def test_modification_parameter_laws_exhaustive():
@@ -249,6 +247,7 @@ def test_modification_parameter_laws_exhaustive():
 
 def _same_partition(fast, parts):
     rebuilt = Partition(parts)
+    assert fast.parts == rebuilt.parts
     assert fast.weight == rebuilt.weight
     assert fast.length == rebuilt.length
     assert fast.items() == rebuilt.items()
@@ -257,39 +256,65 @@ def _same_partition(fast, parts):
 
 
 def test_modification_metadata_matches_rebuilt_partition():
-    # enumeration, remove_part and decrement_part pass weight and length on
-    # instead of re-summing them; each must agree with a from-scratch build
-    for n in range(13):
-        for lam in enumerate_partitions(n):
-            _same_partition(lam, lam.parts)
-            for j, _m in lam.items():
-                rest = list(lam.parts)
-                rest.remove(j)
-                _same_partition(lam.remove_part(j), rest)
-                _same_partition(lam.decrement_part(j), rest + ([j - 1] if j > 1 else []))
+    # the enumeration passes on the items it tracks, and every modification
+    # slices or rebuilds the parts tuple; each must agree with a from-scratch
+    # build from the plain list of parts
+    pool = [lam for n in range(13) for lam in enumerate_partitions(n)]
+    for lam in pool:
+        _same_partition(lam, lam.parts)
+        for j, _m in lam.items():
+            rest = list(lam.parts)
+            rest.remove(j)
+            _same_partition(lam.remove_part(j), rest)
+            _same_partition(lam.decrement_part(j), rest + ([j - 1] if j > 1 else []))
+        for s in range(5):
+            _same_partition(lam.shift_up(s), [a + s for a in lam.parts])
+            _same_partition(lam.truncate_above(s), [a for a in lam.parts if a > s])
+    for mu in pool:
+        for nu in pool:
+            if mu.weight + nu.weight <= 12:
+                _same_partition(mu.union(nu), list(mu.parts) + list(nu.parts))
+
+
+@st.composite
+def part_lists(draw, max_weight=24):
+    # a plain list of positive parts of weight <= max_weight, in any order
+    parts, rem = [], draw(st.integers(0, max_weight))
+    while rem:
+        part = draw(st.integers(1, rem))
+        parts.append(part)
+        rem -= part
+    return draw(st.permutations(parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=part_lists(), s=st.integers(0, 6))
+def test_queries_match_plain_list_reference(parts, s):
+    lam = Partition(parts)
+    ordered, items, counts, moments, above, falling = partition_reference(parts, s)
+    assert lam.parts == ordered
+    assert lam.items() == items
+    assert (lam.weight, lam.length) == (sum(parts), len(parts))
+    for i in range(26):
+        assert lam.multiplicity(i) == counts[i]
+    assert [lam.moment(k) for k in range(1, 5)] == moments
+    assert lam.length_above(s) == above
+    if falling is None:
+        with pytest.raises(ValueError):
+            lam.pochhammer(s)
+    else:
+        assert lam.pochhammer(s) == falling
 
 
 def test_parts_roundtrip():
     for n in range(9):
         for lam in enumerate_partitions(n):
-            assert make_partition(lam.parts) == lam
+            assert Partition(lam.parts) == lam
 
 
 def test_json_roundtrip():
-    lam = make_partition([4, 2, 2, 1])
+    lam = Partition([4, 2, 2, 1])
     assert lam.to_json_dict() == {"parts": [4, 2, 2, 1]}
-    assert Partition.from_json_dict(lam.to_json_dict()) == lam
-    assert make_partition([]).to_json_dict() == {"parts": []}
+    assert Partition(lam.to_json_dict()["parts"]) == lam
+    assert Partition([]).to_json_dict() == {"parts": []}
 
-
-def test_multiset_basics():
-    b = Multiset([2, 3, 2])
-    assert b.elements == (3, 2, 2)
-    assert b == Multiset([3, 2, 2])
-    assert len(b) == 3
-    assert 2 in b and 5 not in b
-    assert b.remove_one(2) == Multiset([3, 2])
-    with pytest.raises(ValueError):
-        b.remove_one(7)
-    with pytest.raises(ValueError):
-        Multiset([-1])
