@@ -9,7 +9,7 @@ assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 
 from .coefficients import c_coeff, faa_di_bruno_coeff
@@ -88,24 +88,51 @@ class YPolynomial(SparsePolynomial):
         ]
 
 
-@lru_cache(maxsize=None)
+def _check_weight(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceeded(f"weight {n} exceeds the cap {cap}")
+
+
+def _capped_cache(body):
+    """Memoize body(n, *rest) and refuse n > cap before the cache is consulted.
+
+    The cap is not part of the cache key: a value is the same under every cap
+    that admits it, so a call with a raised cap and one with the default share
+    one entry.  The body therefore enumerates with n itself as the cap.  The
+    front keeps the cache's ``cache_info``/``cache_clear``, and ``__wrapped__``
+    is the uncached body.
+    """
+    cached = lru_cache(maxsize=None)(body)
+
+    @wraps(body)
+    def front(n: int, *rest: int, cap: int = DEFAULT_WEIGHT_CAP):
+        _check_weight(n, cap)
+        return cached(n, *rest)
+
+    front.cache_info = cached.cache_info
+    front.cache_clear = cached.cache_clear
+    return front
+
+
+@_capped_cache
 def partial_bell(n: int, k: int) -> YPolynomial:
     """Classical partial Bell polynomial: chain-rule coefficients of partitions of n with k parts.
 
-    Zero outside 0 <= k <= n (except the constant 1 at n = k = 0).
+    Zero outside 0 <= k <= n (except the constant 1 at n = k = 0).  Takes the
+    keyword ``cap``: CapExceeded when n > cap.
     """
     if n < 0 or k < 0 or k > n:
         return YPolynomial.zero()
     return YPolynomial(
         (lam.items(), faa_di_bruno_coeff(lam))
-        for lam in enumerate_constrained(n, 0, 0, length=k)
+        for lam in enumerate_constrained(n, 0, 0, cap=n, length=k)
     )
 
 
-def complete_bell(n: int) -> YPolynomial:
+def complete_bell(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
     total = YPolynomial.zero()
     for k in range(n + 1):
-        total = total + partial_bell(n, k)
+        total = total + partial_bell(n, k, cap=cap)
     return total
 
 
@@ -140,18 +167,20 @@ def product_form_partial(
     n: int, k: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP
 ) -> YPolynomial:
     """Binomial convolution of two classical Bell polynomials, the second with
-    its variables shifted up by s.  Contract: equals modified_partial_bell(n, k, r, s).
+    its variables shifted up by s.  Contract: equals modified_partial_bell(n, k, r, s),
+    and refuses the same weight n + r*s above cap.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
-    if n < 0 or k < 0 or r < 0:
+    if n < 0 or k < 0 or r < 0 or k > n or r > k:
         return YPolynomial.zero()
+    _check_weight(n + r * s, cap)
     total = YPolynomial.zero()
     for p in range(r, n - k + r + 1):
-        left = partial_bell(n - p, k - r)
+        left = partial_bell(n - p, k - r, cap=cap)
         if not left:
             continue
-        right = partial_bell(p, r).shift_vars(s)
+        right = partial_bell(p, r, cap=cap).shift_vars(s)
         if not right:
             continue
         total = total + comb(n, p) * (left * right)
@@ -159,10 +188,16 @@ def product_form_partial(
 
 
 def product_form_complete(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
-    """Binomial convolution of complete Bell polynomials; equals modified_complete_bell."""
+    """Binomial convolution of complete Bell polynomials; equals modified_complete_bell,
+    and refuses the same weight n + n*s above cap.
+    """
+    if n >= 0:
+        _check_weight(n + n * s, cap)
     total = YPolynomial.zero()
     for p in range(n + 1):
-        total = total + comb(n, p) * (complete_bell(n - p) * complete_bell(p).shift_vars(s))
+        total = total + comb(n, p) * (
+            complete_bell(n - p, cap=cap) * complete_bell(p, cap=cap).shift_vars(s)
+        )
     return total
 
 
@@ -181,18 +216,19 @@ def stirling2(n: int, k: int) -> int:
     return sum(comb(n - 1, l) * stirling2(n - 1 - l, k - 1) for l in range(n))
 
 
-@lru_cache(maxsize=None)
+@_capped_cache
 def modified_stirling(n: int, k: int, r: int) -> int:
     """Image of modified_partial_bell under y_i -> c^i x, read off at c^(n+rs) x^k.
 
     The value does not depend on s (a verified property, not an assumption);
     it is evaluated here at s = 0, where it is the plain coefficient sum
-    over partitions of n with k parts.
+    over partitions of n with k parts.  Takes the keyword ``cap``:
+    CapExceeded when n > cap.
     """
     if n < 0 or k < 0 or r < 0 or k > n or r > k:
         return 0
     total = 0
-    for lam in enumerate_constrained(n, 0, 0, length=k):
+    for lam in enumerate_constrained(n, 0, 0, cap=n, length=k):
         total += c_coeff(lam, r, 0)
     return total
 
@@ -236,7 +272,7 @@ class StirlingTable:
         for n in range(n_max + 1):
             for k in range(n + 1):
                 for r in range(k + 1):
-                    entries.append((n, k, r, modified_stirling(n, k, r)))
+                    entries.append((n, k, r, modified_stirling(n, k, r, cap=cap)))
         return cls(n_max=n_max, entries=tuple(entries))
 
     def to_csv(self) -> str:

@@ -22,10 +22,11 @@ def elementary_moments(b: tuple[int, ...], r_max: int) -> ElementaryVector:
         raise ValueError("r_max must be non-negative")
     e = [0] * (r_max + 1)
     e[0] = 1
-    seen = 0
+    top = 0  # highest degree reached so far, min(elements seen, r_max)
     for x in b:
-        seen += 1
-        for r in range(min(seen, r_max), 0, -1):
+        if top < r_max:
+            top += 1
+        for r in range(top, 0, -1):
             e[r] += x * e[r - 1]
     return tuple(e)
 
@@ -37,6 +38,28 @@ def power_sum(b: tuple[int, ...], k: int) -> int:
     return sum(x**k for x in b)
 
 
+def _newton_residuals(b: tuple[int, ...], r_max: int) -> list[int]:
+    """[newton_residual(b, r) for r in 1..r_max], from one pass for e and one for p.
+
+    The power sums p_1..p_{r_max} are accumulated element by element from a
+    running power, so no x**k and no power_sum call is made.
+    """
+    e = elementary_moments(b, r_max)
+    signed = [0] * (r_max + 1)  # index k -> (-1)^(k-1) p_k
+    for x in b:
+        xk = -1
+        for k in range(1, r_max + 1):
+            xk *= -x  # (-1)^(k-1) x^k
+            signed[k] += xk
+    residuals = []
+    for r in range(1, r_max + 1):
+        acc = -r * e[r]
+        for k in range(1, r + 1):
+            acc += signed[k] * e[r - k]
+        residuals.append(acc)
+    return residuals
+
+
 def newton_residual(b: tuple[int, ...], r: int) -> int:
     """sum_{k=1..r} (-1)^(k-1) p_k e_{r-k}  minus  r * e_r.
 
@@ -45,11 +68,20 @@ def newton_residual(b: tuple[int, ...], r: int) -> int:
     """
     if r <= 0:
         raise ValueError("the residual is defined for r >= 1 only")
-    e = elementary_moments(b, r)
-    acc = 0
-    for k in range(1, r + 1):
-        acc += (-1) ** (k - 1) * power_sum(b, k) * e[r - k]
-    return acc - r * e[r]
+    return _newton_residuals(b, r)[-1]
+
+
+def _subtract_vector(e: ElementaryVector, l_value: int, c: int) -> ElementaryVector:
+    """The series correction of subtract_transform, applied to a vector the caller has.
+
+    e_r  ->  e_r - c * sum_{k=1..r} (-l_value)^(k-1) e_{r-k}, in O(len(e)).
+    """
+    out = [e[0]]
+    correction = 0  # sum_{k=1..r} (-l_value)^(k-1) e_{r-k}, carried from r - 1
+    for r in range(1, len(e)):
+        correction = e[r - 1] - l_value * correction
+        out.append(e[r] - c * correction)
+    return tuple(out)
 
 
 def subtract_transform(b: tuple[int, ...], l_value: int, c: int, r_max: int) -> ElementaryVector:
@@ -63,13 +95,7 @@ def subtract_transform(b: tuple[int, ...], l_value: int, c: int, r_max: int) -> 
         raise ValueError(f"{l_value} does not occur in the multiset")
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    e = elementary_moments(b, r_max)
-    out = [e[0]]
-    correction = 0  # sum_{k=1..r} (-l_value)^(k-1) e_{r-k}, carried from r - 1
-    for r in range(1, r_max + 1):
-        correction = e[r - 1] - l_value * correction
-        out.append(e[r] - c * correction)
-    return tuple(out)
+    return _subtract_vector(elementary_moments(b, r_max), l_value, c)
 
 
 def elementary_by_subpartitions(eta: Partition, s: int, r: int) -> int:

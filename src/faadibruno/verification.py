@@ -216,9 +216,8 @@ def _check_truncation_fixed_points(max_n, max_s, rng, trials, cap):
 def _check_newton_residual(max_n, max_s, rng, trials, cap):
     card_max = min(max_n, 6)
     for b in _multisets(card_max, 8):
-        for r in range(1, card_max + 1):
-            ok = symfunc.newton_residual(b, r) == 0
-            yield None if ok else {"multiset": list(b), "r": r}
+        for r, residual in enumerate(symfunc._newton_residuals(b, card_max), 1):
+            yield None if residual == 0 else {"multiset": list(b), "r": r}
 
 
 @_suite(
@@ -231,13 +230,14 @@ def _check_subtract_transform(max_n, max_s, rng, trials, cap):
         r_max = len(b)
         if not r_max:
             continue
+        e = symfunc.elementary_moments(b, r_max)
         for value in sorted(set(b)):
             i = b.index(value)
             rest = b[:i] + b[i + 1 :]
-            ok = symfunc.subtract_transform(
-                b, value, value, r_max
-            ) == symfunc.elementary_moments(rest, r_max) and all(
-                symfunc.subtract_transform(b, value, c, r_max)
+            ok = symfunc._subtract_vector(e, value, value) == symfunc.elementary_moments(
+                rest, r_max
+            ) and all(
+                symfunc._subtract_vector(e, value, c)
                 == symfunc.elementary_moments(rest + (value - c,), r_max)
                 for c in (0, 1, value // 2)
             )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faadibruno import bell
 from faadibruno.bell import (
     StirlingTable,
     YPolynomial,
@@ -20,6 +21,7 @@ from faadibruno.bell import (
     term_weighted_degree,
     touchard,
 )
+from faadibruno.partitions import CapExceeded
 
 from helpers import exponents_mul, stirling_triangular, terms_add, terms_mul, terms_scale
 
@@ -337,3 +339,58 @@ def test_cached_partial_bell_survives_use_as_operand(n, k, a, factor):
     cached.substitute_geometric()
     assert partial_bell(n, k) is cached
     assert cached == partial_bell.__wrapped__(n, k)
+
+
+def test_raised_cap_reaches_partial_bell_and_modified_stirling():
+    with pytest.raises(CapExceeded):
+        modified_stirling(65, 1, 0)
+    with pytest.raises(CapExceeded):
+        partial_bell(65, 64)
+    with pytest.raises(CapExceeded):
+        complete_bell(9, cap=8)
+    assert modified_stirling(65, 1, 0, cap=100) == 1
+    assert partial_bell(65, 64, cap=100) == ypoly((((1, 63), (2, 1)), comb(65, 2)))
+    with pytest.raises(CapExceeded):
+        modified_stirling(7, 2, 1, cap=6)
+    # the cap is checked before the cache, so every cap that admits n shares one entry
+    before = partial_bell.cache_info().currsize
+    assert partial_bell(9, 4) is partial_bell(9, 4, cap=9) is partial_bell(9, 4, cap=100)
+    assert partial_bell.cache_info().currsize <= before + 1
+    assert modified_stirling(8, 3, 2) == modified_stirling(8, 3, 2, cap=8)
+    assert complete_bell(6, cap=6) == complete_bell(6)
+
+
+def test_stirling_table_passes_its_cap(monkeypatch):
+    caps = set()
+
+    def recording(n, k, r, cap):
+        caps.add(cap)
+        return modified_stirling(n, k, r, cap=cap)
+
+    monkeypatch.setattr(bell, "modified_stirling", recording)
+    assert StirlingTable.build(4, cap=100) == StirlingTable.build(4)
+    assert caps == {100, 64}
+
+
+def test_product_forms_refuse_what_the_definitions_refuse():
+    with pytest.raises(CapExceeded):
+        modified_complete_bell(3, 0, cap=1)
+    with pytest.raises(CapExceeded):
+        product_form_complete(3, 0, cap=1)
+    for cap in range(8):
+        for n in range(5):
+            for s in range(3):
+                pairs = [(modified_complete_bell, product_form_complete, (n, s))]
+                pairs += [
+                    (modified_partial_bell, product_form_partial, (n, k, r, s))
+                    for k in range(-1, n + 2)
+                    for r in range(-1, k + 2)
+                ]
+                for definition, product_form, args in pairs:
+                    outcomes = []
+                    for f in (definition, product_form):
+                        try:
+                            outcomes.append(f(*args, cap=cap))
+                        except CapExceeded:
+                            outcomes.append(CapExceeded)
+                    assert outcomes[0] == outcomes[1], (definition.__name__, args, cap)

@@ -1,9 +1,13 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faadibruno.partitions import Partition, enumerate_partitions
 from faadibruno.symfunc import (
+    _newton_residuals,
+    _subtract_vector,
     elementary_by_subpartitions,
     elementary_moments,
     newton_residual,
@@ -118,3 +122,43 @@ def test_subpartition_sum_matches_generating_function():
                 vector = elementary_moments(eta.pochhammer(s), eta.length + 1)
                 for r in range(eta.length + 2):
                     assert elementary_by_subpartitions(eta, s, r) == vector[r]
+
+
+multisets = st.lists(st.integers(0, 12), max_size=8).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets, st.integers(-2, 2))
+def test_elementary_moments_matches_subsets_around_cardinality(b, offset):
+    # r_max below, at and above len(b)
+    r_max = max(len(b) + offset, 0)
+    assert elementary_moments(b, r_max) == tuple(
+        elementary_by_subsets(b, r) for r in range(r_max + 1)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets, st.integers(0, 10))
+def test_newton_residuals_in_one_pass(b, r_max):
+    residuals = _newton_residuals(b, r_max)
+    assert residuals == [0] * r_max
+    assert residuals == [newton_residual(b, r) for r in range(1, r_max + 1)]
+    # the identity itself, from explicit power sums and subset-sum e_r
+    for r in range(1, r_max + 1):
+        convolution = sum(
+            (-1) ** (k - 1) * sum(x**k for x in b) * elementary_by_subsets(b, r - k)
+            for k in range(1, r + 1)
+        )
+        assert convolution == r * elementary_by_subsets(b, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets.filter(len), st.data())
+def test_subtract_vector_matches_subsets_of_the_replaced_multiset(b, data):
+    value = data.draw(st.sampled_from(b))
+    c = data.draw(st.integers(0, value))
+    n = len(b)
+    replaced = remove_one(b, value) + (value - c,)
+    assert _subtract_vector(elementary_moments(b, n), value, c) == tuple(
+        elementary_by_subsets(replaced, r) for r in range(n + 1)
+    )

@@ -1,6 +1,8 @@
 """The `verify` suite runner: one instance per check, failures never outnumber them."""
 
-from faadibruno import verification
+import pytest
+
+from faadibruno import symfunc, verification
 from faadibruno.coefficients import IntegralityError, coefficient_table
 
 
@@ -52,3 +54,49 @@ def test_passing_integrality_report_counts_every_entry(monkeypatch):
     )
     assert (result["instances"], result["failures"]) == (entries, 0)
     assert result["passed"] is True and result["counterexample"] is None
+
+
+@pytest.mark.parametrize(
+    "key, instances",
+    [("newton_identity_residual_zero", 18018), ("elementary_subtract_transform", 10296)],
+)
+def test_symmetric_function_suites_at_the_benchmark_grid(monkeypatch, key, instances):
+    only_suite(monkeypatch, key)
+    (result,) = verification.run_all(max_n=7, max_s=3)["identities"]
+    assert (result["instances"], result["failures"], result["counterexample"]) == (
+        instances,
+        0,
+        None,
+    )
+
+
+def test_newton_suite_reports_a_wrong_residual(monkeypatch):
+    real = symfunc._newton_residuals
+
+    def wrong(b, r_max):
+        residuals = real(b, r_max)
+        if b == (3, 1):
+            residuals[1] = 1
+        return residuals
+
+    monkeypatch.setattr(symfunc, "_newton_residuals", wrong)
+    only_suite(monkeypatch, "newton_identity_residual_zero")
+    (result,) = verification.run_all(max_n=3, max_s=0)["identities"]
+    assert result["failures"] == 1 and result["passed"] is False
+    assert result["counterexample"] == {"multiset": [3, 1], "r": 2}
+
+
+def test_subtract_transform_suite_reports_a_wrong_vector(monkeypatch):
+    real = symfunc._subtract_vector
+
+    def wrong(e, l_value, c):
+        out = real(e, l_value, c)
+        if (l_value, c) == (5, 1):
+            return out[:-1] + (out[-1] + 1,)
+        return out
+
+    monkeypatch.setattr(symfunc, "_subtract_vector", wrong)
+    only_suite(monkeypatch, "elementary_subtract_transform")
+    (result,) = verification.run_all(max_n=2, max_s=0)["identities"]
+    assert result["failures"] > 0 and result["passed"] is False
+    assert result["counterexample"] == {"multiset": [5], "value": 5}
