@@ -57,8 +57,7 @@ from .symfunc import (
     ElementaryVector,
     elementary_by_subpartitions,
     elementary_moments,
-    newton_residual,
-    power_sum,
+    newton_residuals,
     subtract_transform,
 )
 from .verification import run_all as run_verification

@@ -88,11 +88,6 @@ class YPolynomial(SparsePolynomial):
         ]
 
 
-def _check_weight(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceeded(f"weight {n} exceeds the cap {cap}")
-
-
 def _capped_cache(body):
     """Memoize body(n, *rest) and refuse n > cap before the cache is consulted.
 
@@ -103,10 +98,11 @@ def _capped_cache(body):
     is the uncached body.
     """
     cached = lru_cache(maxsize=None)(body)
+    name = body.__name__
 
     @wraps(body)
     def front(n: int, *rest: int, cap: int = DEFAULT_WEIGHT_CAP):
-        _check_weight(n, cap)
+        CapExceeded.check(n, cap, name)
         return cached(n, *rest)
 
     front.cache_info = cached.cache_info
@@ -174,7 +170,7 @@ def product_form_partial(
         raise ValueError("s must be non-negative")
     if n < 0 or k < 0 or r < 0 or k > n or r > k:
         return YPolynomial.zero()
-    _check_weight(n + r * s, cap)
+    CapExceeded.check(n + r * s, cap, "product_form_partial")
     total = YPolynomial.zero()
     for p in range(r, n - k + r + 1):
         left = partial_bell(n - p, k - r, cap=cap)
@@ -192,7 +188,7 @@ def product_form_complete(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPol
     and refuses the same weight n + n*s above cap.
     """
     if n >= 0:
-        _check_weight(n + n * s, cap)
+        CapExceeded.check(n + n * s, cap, "product_form_complete")
     total = YPolynomial.zero()
     for p in range(n + 1):
         total = total + comb(n, p) * (
@@ -266,8 +262,7 @@ class StirlingTable:
     def build(cls, n_max: int, cap: int = DEFAULT_WEIGHT_CAP) -> "StirlingTable":
         if n_max < 0:
             raise ValueError("n_max must be non-negative")
-        if n_max > cap:
-            raise CapExceeded(f"table (n_max={n_max}) reaches weight {n_max} > cap {cap}")
+        CapExceeded.check(n_max, cap, f"table (n_max={n_max})")
         entries = []
         for n in range(n_max + 1):
             for k in range(n + 1):

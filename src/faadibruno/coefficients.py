@@ -226,8 +226,7 @@ def coefficient_table(
     """
     if n < 0 or s < 0:
         raise ValueError("n and s must be non-negative")
-    if n + n * s > cap:
-        raise CapExceeded(f"table (n={n}, s={s}) reaches weight {n + n * s} > cap {cap}")
+    CapExceeded.check(n + n * s, cap, f"table (n={n}, s={s})")
     evaluator = RecurrenceEvaluator(s) if verify else None
     entries: list[tuple[int, Partition, int]] = []
     for r in range(n + 1):

@@ -197,16 +197,11 @@ def derive(poly: DiffPolynomial, mode: str = "composed", s: int = 0) -> DiffPoly
 _SEED = DiffMonomial(0, 0, (), ())
 
 
-def _check_cap(max_weight: int, cap: int, what: str) -> None:
-    if max_weight > cap:
-        raise CapExceeded(f"{what} reaches weight {max_weight} > cap {cap}")
-
-
 def nth_derivative_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
     """n-fold derivation of F_0 G_0 in composed mode: the ground-truth oracle."""
     if n < 0 or s < 0:
         raise ValueError("n and s must be non-negative")
-    _check_cap(n * (1 + s), cap, f"oracle expansion (n={n}, s={s})")
+    CapExceeded.check(n * (1 + s), cap, f"oracle expansion (n={n}, s={s})")
     poly = DiffPolynomial.term(_SEED)
     for _ in range(n):
         poly = derive(poly, "composed", s)
@@ -217,7 +212,7 @@ def formula_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPoly
     """The closed-formula expansion: sum of C(lam, r, s) F_{len-r} G_r prod Y_i^m_i."""
     if n < 0 or s < 0:
         raise ValueError("n and s must be non-negative")
-    _check_cap(n * (1 + s), cap, f"formula expansion (n={n}, s={s})")
+    CapExceeded.check(n * (1 + s), cap, f"formula expansion (n={n}, s={s})")
     return DiffPolynomial(
         (DiffMonomial(lam.length - r, r, lam.items(), ()), c_coeff(lam, r, s))
         for r in range(n + 1)
@@ -232,7 +227,7 @@ def faa_expansion(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_cap(n, cap, f"chain-rule expansion (n={n})")
+    CapExceeded.check(n, cap, f"chain-rule expansion (n={n})")
     return DiffPolynomial(
         (DiffMonomial(lam.length, 0, lam.items(), ()), faa_di_bruno_coeff(lam))
         for lam in enumerate_partitions(n, cap=cap)
@@ -248,7 +243,7 @@ def leibniz_product_expansion(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPoly
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    _check_cap(n, cap, f"product-rule expansion (n={n})")
+    CapExceeded.check(n, cap, f"product-rule expansion (n={n})")
 
     def terms():
         for rho in enumerate_partitions(n, cap=cap):

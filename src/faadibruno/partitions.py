@@ -23,6 +23,12 @@ DEFAULT_WEIGHT_CAP = 64
 class CapExceeded(ValueError):
     """An operation would enumerate or expand past the configured weight cap."""
 
+    @classmethod
+    def check(cls, weight: int, cap: int, what: str) -> None:
+        """Refuse *what* when it reaches a weight above cap; weight == cap is allowed."""
+        if weight > cap:
+            raise cls(f"{what} reaches weight {weight} > cap {cap}")
+
 
 class Partition:
     """An integer partition, stored once as its descending parts tuple."""
@@ -237,8 +243,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Part
     """All partitions of n, in decreasing lexicographic order of the summand sequence."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if n > cap:
-        raise CapExceeded(f"weight {n} exceeds the cap {cap}")
+    CapExceeded.check(n, cap, "partition enumeration")
     return _descending(n, 0, 0, None)
 
 
@@ -258,6 +263,5 @@ def enumerate_constrained(
     if length is not None and length < 0:
         raise ValueError("length must be non-negative")
     weight = n + r * s
-    if weight > cap:
-        raise CapExceeded(f"weight {weight} exceeds the cap {cap}")
+    CapExceeded.check(weight, cap, "constrained enumeration")
     return _descending(weight, r, s, length)

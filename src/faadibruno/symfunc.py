@@ -1,6 +1,8 @@
-"""Elementary symmetric functions and power sums on integer multisets.
+"""Elementary symmetric functions on integer multisets, one pass per identity.
 
 A multiset is any tuple of non-negative integers; its order is irrelevant.
+Newton's identity and the subtract-transform each have one function, and
+both work from a single elementary vector per multiset.
 """
 
 from __future__ import annotations
@@ -31,19 +33,15 @@ def elementary_moments(b: tuple[int, ...], r_max: int) -> ElementaryVector:
     return tuple(e)
 
 
-def power_sum(b: tuple[int, ...], k: int) -> int:
-    """Sum of k-th powers over the multiset, k >= 1."""
-    if k <= 0:
-        raise ValueError("power sums are defined for k >= 1 only")
-    return sum(x**k for x in b)
+def newton_residuals(b: tuple[int, ...], r_max: int) -> tuple[int, ...]:
+    """sum_{k=1..r} (-1)^(k-1) p_k e_{r-k}  minus  r * e_r, for r = 1..r_max.
 
-
-def _newton_residuals(b: tuple[int, ...], r_max: int) -> list[int]:
-    """[newton_residual(b, r) for r in 1..r_max], from one pass for e and one for p.
-
-    The power sums p_1..p_{r_max} are accumulated element by element from a
-    running power, so no x**k and no power_sum call is made.
+    Newton's identity says each residual is zero.  e comes from one
+    elementary_moments pass and p_1..p_{r_max} from one pass of running
+    powers, whatever r_max is; r_max == 0 gives ().
     """
+    if r_max < 0:
+        raise ValueError("r_max must be non-negative")
     e = elementary_moments(b, r_max)
     signed = [0] * (r_max + 1)  # index k -> (-1)^(k-1) p_k
     for x in b:
@@ -57,45 +55,27 @@ def _newton_residuals(b: tuple[int, ...], r_max: int) -> list[int]:
         for k in range(1, r + 1):
             acc += signed[k] * e[r - k]
         residuals.append(acc)
-    return residuals
+    return tuple(residuals)
 
 
-def newton_residual(b: tuple[int, ...], r: int) -> int:
-    """sum_{k=1..r} (-1)^(k-1) p_k e_{r-k}  minus  r * e_r.
+def subtract_transform(e: ElementaryVector, l_value: int, c: int) -> ElementaryVector:
+    """Vector of a multiset b after one element l_value becomes l_value - c.
 
-    Identically zero; exposed as a residual so the verification suites can
-    assert it directly.
+    e is elementary_moments(b, r_max); the result, of the same length, comes
+    from e alone in O(len(e)):
+    e_r  ->  e_r - c * sum_{k=1..r} (-l_value)^(k-1) e_{r-k}.
+    With c = l_value one copy of l_value is removed.  Since b is not passed,
+    l_value is not checked against it: the correction is defined for every
+    integer l_value, and is a replacement within b when l_value occurs there.
     """
-    if r <= 0:
-        raise ValueError("the residual is defined for r >= 1 only")
-    return _newton_residuals(b, r)[-1]
-
-
-def _subtract_vector(e: ElementaryVector, l_value: int, c: int) -> ElementaryVector:
-    """The series correction of subtract_transform, applied to a vector the caller has.
-
-    e_r  ->  e_r - c * sum_{k=1..r} (-l_value)^(k-1) e_{r-k}, in O(len(e)).
-    """
-    out = [e[0]]
+    if not e or e[0] != 1:
+        raise ValueError("an elementary vector is non-empty and starts with e_0 == 1")
+    out = [1]
     correction = 0  # sum_{k=1..r} (-l_value)^(k-1) e_{r-k}, carried from r - 1
     for r in range(1, len(e)):
         correction = e[r - 1] - l_value * correction
         out.append(e[r] - c * correction)
     return tuple(out)
-
-
-def subtract_transform(b: tuple[int, ...], l_value: int, c: int, r_max: int) -> ElementaryVector:
-    """Elementary vector of b after replacing one occurrence of l_value by l_value - c.
-
-    Computed from the original vector alone:
-    e_r  ->  e_r - c * sum_{k=1..r} (-l_value)^(k-1) e_{r-k}.
-    With c = l_value this is the vector of b with one copy of l_value removed.
-    """
-    if l_value not in b:
-        raise ValueError(f"{l_value} does not occur in the multiset")
-    if r_max < 0:
-        raise ValueError("r_max must be non-negative")
-    return _subtract_vector(elementary_moments(b, r_max), l_value, c)
 
 
 def elementary_by_subpartitions(eta: Partition, s: int, r: int) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb
 
 from . import bell, diffalg, polynomials, symfunc
 from .coefficients import (
@@ -216,7 +216,7 @@ def _check_truncation_fixed_points(max_n, max_s, rng, trials, cap):
 def _check_newton_residual(max_n, max_s, rng, trials, cap):
     card_max = min(max_n, 6)
     for b in _multisets(card_max, 8):
-        for r, residual in enumerate(symfunc._newton_residuals(b, card_max), 1):
+        for r, residual in enumerate(symfunc.newton_residuals(b, card_max), 1):
             yield None if residual == 0 else {"multiset": list(b), "r": r}
 
 
@@ -234,10 +234,10 @@ def _check_subtract_transform(max_n, max_s, rng, trials, cap):
         for value in sorted(set(b)):
             i = b.index(value)
             rest = b[:i] + b[i + 1 :]
-            ok = symfunc._subtract_vector(e, value, value) == symfunc.elementary_moments(
+            ok = symfunc.subtract_transform(e, value, value) == symfunc.elementary_moments(
                 rest, r_max
             ) and all(
-                symfunc._subtract_vector(e, value, c)
+                symfunc.subtract_transform(e, value, c)
                 == symfunc.elementary_moments(rest + (value - c,), r_max)
                 for c in (0, 1, value // 2)
             )
@@ -260,26 +260,6 @@ def _check_subpartition_sum(max_n, max_s, rng, trials, cap):
                 yield None if ok else {"eta": list(eta.parts), "s": s, "r": r}
 
 
-def _shifted_subpartition_sum(lam: Partition, s: int, r: int) -> int:
-    # sum over mu of length r with m_i(mu) <= m_{i+s}(lam), written with the
-    # factorial-ratio weights of the shifted indexing
-    items = [(i, m) for i, m in lam.items() if i > s]
-
-    def descend(idx: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if idx == len(items):
-            return 0
-        i, m = items[idx]
-        weight = factorial(i) // factorial(i - s)
-        total = 0
-        for chosen in range(min(m, remaining) + 1):
-            total += comb(m, chosen) * weight**chosen * descend(idx + 1, remaining - chosen)
-        return total
-
-    return descend(0, r)
-
-
 @_suite(
     "elementary_shifted_subpartition_sum",
     "the same sub-partition sum rewritten over shifted-down partitions "
@@ -291,7 +271,7 @@ def _check_shifted_subpartition_sum(max_n, max_s, rng, trials, cap):
             trunc = lam.truncate_above(s)
             vector = symfunc.elementary_moments(trunc.pochhammer(s), trunc.length + 1)
             for r in range(trunc.length + 2):
-                ok = _shifted_subpartition_sum(lam, s, r) == vector[r]
+                ok = symfunc.elementary_by_subpartitions(trunc, s, r) == vector[r]
                 yield None if ok else {"lam": list(lam.parts), "s": s, "r": r}
 
 

@@ -41,7 +41,7 @@ from faadibruno.polynomials import RationalPolynomial, check_main_theorem, run_r
 from faadibruno.symfunc import (
     elementary_by_subpartitions,
     elementary_moments,
-    newton_residual,
+    newton_residuals,
     subtract_transform,
 )
 from faadibruno.verification import run_all
@@ -112,11 +112,12 @@ def test_criterion_05_symmetric_function_identities():
     for card in range(9):
         for combo in combinations_with_replacement(range(1, 13), card):
             b = combo[::-1]
-            for r in range(1, 9):
-                assert newton_residual(b, r) == 0, (combo, r)
+            for r, residual in enumerate(newton_residuals(b, 8), 1):
+                assert residual == 0, (combo, r)
                 checked += 1
+            e = elementary_moments(b, card)
             for value in sorted(set(combo)):
-                assert subtract_transform(b, value, value, card) == elementary_moments(
+                assert subtract_transform(e, value, value) == elementary_moments(
                     remove_one(b, value), card
                 ), (combo, value)
                 checked += 1

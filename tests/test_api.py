@@ -1,6 +1,9 @@
-"""The public names of the `faadibruno` package, pinned so that any change is deliberate."""
+"""The public names of the `faadibruno` package, pinned so that any change is deliberate,
+and the rule that no layer module reads another layer's private names."""
 
+import ast
 import types
+from pathlib import Path
 
 import faadibruno
 
@@ -36,10 +39,9 @@ PUBLIC_NAMES = {
     "modified_partial_bell",
     "modified_stirling",
     "monomial",
-    "newton_residual",
+    "newton_residuals",
     "nth_derivative_expansion",
     "partial_bell",
-    "power_sum",
     "product_form_complete",
     "product_form_partial",
     "random_polynomial",
@@ -61,3 +63,84 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+# the modules bench/tracer.py wraps by public name; `sparse` is shared machinery, not a layer
+LAYERS = {
+    "partitions",
+    "symfunc",
+    "coefficients",
+    "diffalg",
+    "polynomials",
+    "bell",
+    "verification",
+    "cli",
+}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _imported_layer(node):
+    # the layer an import names: "" for the package itself, None for anything else
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == "faadibruno":
+        return node.module.partition(".")[2]
+    return None
+
+
+def private_layer_reads(source):
+    tree = ast.parse(source)
+    modules = {}  # local name -> layer module it is bound to
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            layer = _imported_layer(node)
+            for alias in node.names:
+                if layer == "" and alias.name in LAYERS:
+                    modules[alias.asname or alias.name] = alias.name
+                elif layer in LAYERS and _private(alias.name):
+                    reads.append(f"{layer}.{alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                layer = alias.name.partition("faadibruno.")[2]
+                if alias.asname and layer in LAYERS:
+                    modules[alias.asname] = layer
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            reads.append(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
+def test_private_layer_reader_sees_every_import_form():
+    source = (
+        "from . import symfunc as sf, bell\n"
+        "from .partitions import _descending\n"
+        "from faadibruno.diffalg import _SEED\n"
+        "import faadibruno.cli as c\n"
+        "from .sparse import _merge\n"
+        "sf._newton_residuals(bell._capped_cache, c._HANDLERS, sf.__name__)\n"
+    )
+    assert sorted(private_layer_reads(source)) == [
+        "bell._capped_cache",
+        "cli._HANDLERS",
+        "diffalg._SEED",
+        "partitions._descending",
+        "symfunc._newton_residuals",
+    ]
+
+
+def test_no_module_reads_a_private_name_of_another_layer():
+    package = Path(faadibruno.__file__).parent
+    reads = {
+        path.name: private_layer_reads(path.read_text())
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in reads.items() if found} == {}

@@ -2,6 +2,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from faadibruno.bell import (
+    StirlingTable,
+    modified_stirling,
+    partial_bell,
+    product_form_complete,
+    product_form_partial,
+)
+from faadibruno.coefficients import coefficient_table
+from faadibruno.diffalg import (
+    faa_expansion,
+    formula_expansion,
+    leibniz_product_expansion,
+    nth_derivative_expansion,
+)
 from faadibruno.partitions import (
     CapExceeded,
     Partition,
@@ -93,6 +107,43 @@ def test_enumeration_cap():
     assert len(list(enumerate_partitions(12, cap=12))) == 77
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
+
+
+@pytest.mark.parametrize(
+    "build, weight",
+    [
+        (lambda cap: list(enumerate_partitions(5, cap=cap)), 5),
+        (lambda cap: list(enumerate_constrained(3, 1, 2, cap=cap)), 5),
+        (lambda cap: coefficient_table(2, 1, cap=cap), 4),
+        (lambda cap: StirlingTable.build(4, cap=cap), 4),
+        (lambda cap: partial_bell(5, 2, cap=cap), 5),
+        (lambda cap: modified_stirling(5, 2, 1, cap=cap), 5),
+        (lambda cap: product_form_partial(3, 2, 1, 1, cap=cap), 4),
+        (lambda cap: product_form_complete(2, 1, cap=cap), 4),
+        (lambda cap: nth_derivative_expansion(2, 1, cap=cap), 4),
+        (lambda cap: formula_expansion(2, 1, cap=cap), 4),
+        (lambda cap: faa_expansion(4, cap=cap), 4),
+        (lambda cap: leibniz_product_expansion(3, cap=cap), 3),
+    ],
+    ids=[
+        "enumerate_partitions",
+        "enumerate_constrained",
+        "coefficient_table",
+        "StirlingTable.build",
+        "partial_bell",
+        "modified_stirling",
+        "product_form_partial",
+        "product_form_complete",
+        "nth_derivative_expansion",
+        "formula_expansion",
+        "faa_expansion",
+        "leibniz_product_expansion",
+    ],
+)
+def test_every_capped_entry_point_admits_the_cap_and_refuses_one_past_it(build, weight):
+    build(weight)
+    with pytest.raises(CapExceeded, match=rf" reaches weight {weight} > cap {weight - 1}$"):
+        build(weight - 1)
 
 
 def test_enumerate_constrained_examples():

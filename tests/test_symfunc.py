@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 
 from faadibruno.partitions import Partition, enumerate_partitions
 from faadibruno.symfunc import (
-    _newton_residuals,
-    _subtract_vector,
     elementary_by_subpartitions,
     elementary_moments,
-    newton_residual,
-    power_sum,
+    newton_residuals,
     subtract_transform,
 )
 
@@ -47,36 +44,28 @@ def test_vanishing_past_cardinality():
             assert vector[r] == 0
 
 
-def test_power_sum():
-    assert power_sum((3, 2, 2), 2) == 17
-    assert power_sum((), 5) == 0
-    for k in range(1, 7):
-        assert power_sum((1, 1, 1), k) == 3
-    with pytest.raises(ValueError):
-        power_sum((1,), 0)
-
-
 def test_newton_residual_examples():
-    assert newton_residual((2, 1), 2) == 0
-    assert newton_residual((), 1) == 0
-    assert newton_residual((11, 7, 5), 3) == 0
+    assert newton_residuals((2, 1), 2) == (0, 0)
+    assert newton_residuals((), 1) == (0,)
+    assert newton_residuals((11, 7, 5), 3) == (0, 0, 0)
+    assert newton_residuals((3, 1), 0) == ()
     with pytest.raises(ValueError):
-        newton_residual((1,), 0)
+        newton_residuals((1,), -1)
 
 
 def test_newton_residual_exhaustive_small():
     for b in all_multisets(5, 8):
-        for r in range(1, 6):
-            assert newton_residual(b, r) == 0
+        assert newton_residuals(b, 5) == (0,) * 5
 
 
 def test_subtract_transform_examples():
-    b = (3, 2)
-    assert subtract_transform(b, 3, 1, 2) == (1, 4, 4)
-    assert subtract_transform(b, 3, 3, 2) == (1, 2, 0)
-    assert subtract_transform(b, 3, 0, 2) == elementary_moments(b, 2)
-    with pytest.raises(ValueError):
-        subtract_transform(b, 7, 1, 2)
+    e = elementary_moments((3, 2), 2)
+    assert subtract_transform(e, 3, 1) == (1, 4, 4)
+    assert subtract_transform(e, 3, 3) == (1, 2, 0)
+    assert subtract_transform(e, 3, 0) == e
+    for bad in ((), (0, 5, 6), (2, 5, 6)):
+        with pytest.raises(ValueError):
+            subtract_transform(bad, 3, 1)
 
 
 def test_subtract_transform_general_replacement():
@@ -84,10 +73,11 @@ def test_subtract_transform_general_replacement():
     for b in all_multisets(4, 6):
         if not len(b):
             continue
+        e = elementary_moments(b, len(b))
         for value in sorted(set(b)):
             for c in range(value + 1):
                 replaced = remove_one(b, value) + (value - c,)
-                assert subtract_transform(b, value, c, len(b)) == elementary_moments(
+                assert subtract_transform(e, value, c) == elementary_moments(
                     replaced, len(b)
                 )
 
@@ -96,8 +86,9 @@ def test_subtract_transform_omission_is_removal():
     for b in all_multisets(5, 8):
         if not len(b):
             continue
+        e = elementary_moments(b, len(b))
         for value in sorted(set(b)):
-            assert subtract_transform(b, value, value, len(b)) == elementary_moments(
+            assert subtract_transform(e, value, value) == elementary_moments(
                 remove_one(b, value), len(b)
             )
 
@@ -140,9 +131,10 @@ def test_elementary_moments_matches_subsets_around_cardinality(b, offset):
 @settings(max_examples=200, deadline=None)
 @given(multisets, st.integers(0, 10))
 def test_newton_residuals_in_one_pass(b, r_max):
-    residuals = _newton_residuals(b, r_max)
-    assert residuals == [0] * r_max
-    assert residuals == [newton_residual(b, r) for r in range(1, r_max + 1)]
+    residuals = newton_residuals(b, r_max)
+    assert residuals == (0,) * r_max
+    # a shorter run is a prefix of the longer one
+    assert all(newton_residuals(b, r) == residuals[:r] for r in range(r_max))
     # the identity itself, from explicit power sums and subset-sum e_r
     for r in range(1, r_max + 1):
         convolution = sum(
@@ -159,6 +151,6 @@ def test_subtract_vector_matches_subsets_of_the_replaced_multiset(b, data):
     c = data.draw(st.integers(0, value))
     n = len(b)
     replaced = remove_one(b, value) + (value - c,)
-    assert _subtract_vector(elementary_moments(b, n), value, c) == tuple(
+    assert subtract_transform(elementary_moments(b, n), value, c) == tuple(
         elementary_by_subsets(replaced, r) for r in range(n + 1)
     )
