@@ -269,6 +269,24 @@ OUTPUT_SHA256 = {
         "554bdb3d8c5aa0839f6a57868f768dfc70bcfebaa28f810bc9e4d87e9937034d",
     "coeff --n 5 --s 2 --format json":
         "fc2f0b1482cc174e900444f822e00c2168495dda5c4f54be3d2a0bdc424ab4c6",
+    # one-row tables and a verified pretty table, recorded at 02a18da, before
+    # the table renderers moved into the CLI's one row writer
+    "coeff --n 0 --s 3 --format json":
+        "c0409614c868cfeeb8cc00a9d45b77a07bdf3fcc6bcd66e22ff606de193442c0",
+    "coeff --n 0 --s 3 --format latex":
+        "0127c4d623962fadaca42c8f730cda807c84d9eec1a8c90fe4449abb7f550a0f",
+    "coeff --n 0 --s 3 --format pretty":
+        "28c3136a7050e887b30b6c3a0ba1a2742701ef73bdb39a2ec303d542a5c60992",
+    "coeff --n 3 --s 1 --verify --format pretty":
+        "e9ab18adc020b870e8f179e128a8ae8663c31c3353eb2ae30b21b96213c6c279",
+    "stirling --n-max 0 --format pretty":
+        "b66229d27f0b330b7247588113debce609cd1523e70348ad241eb7c11ff4047d",
+    "stirling --n-max 0 --format csv":
+        "c24a57d06dd145e8a8d3a09fba215892976dc8aef183a0697a8ebe4bcfa9013e",
+    "stirling --n-max 0 --format latex":
+        "bb48962f1bc9f656b663d313b7dd709d6b8ce0281c4cd4a637cb8b44581156fb",
+    "stirling --n-max 0 --format json":
+        "c34eae8ee1abf6ab9413f033ef19d8553d4f5ba641714bc907e5bd887fac221e",
 }
 
 
