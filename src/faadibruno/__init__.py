@@ -6,7 +6,6 @@ Stirling-number objects the coefficients induce.  All arithmetic is exact.
 """
 
 from .bell import (
-    StirlingTable,
     YPolynomial,
     complete_bell,
     modified_complete_bell,
@@ -17,10 +16,10 @@ from .bell import (
     product_form_partial,
     stirling2,
     stirling_convolution,
+    stirling_table,
     touchard,
 )
 from .coefficients import (
-    CoefficientTable,
     CrossCheckError,
     IntegralityError,
     RecurrenceEvaluator,

@@ -8,9 +8,8 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
-from math import comb
+from math import comb, factorial
 
 from .coefficients import c_coeff, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_constrained
@@ -202,14 +201,14 @@ def product_form_complete(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPol
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind, via S(n+1, k+1) = sum_l binom(n, l) S(n-l, k)."""
+    """Stirling number of the second kind, by inclusion-exclusion over surjections:
+    k! S(n, k) = sum_i (-1)^i binom(k, i) (k - i)^n.  Nothing recurses, so the
+    Python stack bounds neither n nor k.
+    """
     if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    return sum(comb(n - 1, l) * stirling2(n - 1 - l, k - 1) for l in range(n))
+    total = sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
+    return total // factorial(k)
 
 
 @_capped_cache
@@ -251,41 +250,18 @@ def touchard(n: int) -> tuple[int, ...]:
     return tuple(stirling2(n, k) for k in range(n + 1))
 
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Modified Stirling numbers for all 0 <= r <= k <= n <= n_max."""
-
-    n_max: int
-    entries: tuple[tuple[int, int, int, int], ...]  # (n, k, r, value)
-
-    @classmethod
-    def build(cls, n_max: int, cap: int = DEFAULT_WEIGHT_CAP) -> "StirlingTable":
-        if n_max < 0:
-            raise ValueError("n_max must be non-negative")
-        CapExceeded.check(n_max, cap, f"table (n_max={n_max})")
-        entries = []
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                for r in range(k + 1):
-                    entries.append((n, k, r, modified_stirling(n, k, r, cap=cap)))
-        return cls(n_max=n_max, entries=tuple(entries))
-
-    def to_csv(self) -> str:
-        return "\n".join(f"{n},{k},{r},{v}" for n, k, r, v in self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "entries": [
-                {"n": n, "k": k, "r": r, "value": str(v)} for n, k, r, v in self.entries
-            ],
-        }
-
-    def to_latex(self) -> str:
-        rows = [rf"{n} & {k} & {r} & {v} \\" for n, k, r, v in self.entries]
-        return "\n".join(
-            [r"\begin{tabular}{rrrr}", r"$n$ & $k$ & $r$ & $\widetilde{S}$ \\ \hline", *rows, r"\end{tabular}"]
-        )
-
-    def pretty(self) -> str:
-        return "\n".join(f"S~({n},{k},{r}) = {v}" for n, k, r, v in self.entries)
+def stirling_table(
+    n_max: int, cap: int = DEFAULT_WEIGHT_CAP
+) -> tuple[tuple[int, int, int, int], ...]:
+    """(n, k, r, modified_stirling(n, k, r)) for all 0 <= r <= k <= n <= n_max,
+    ordered by n, then k, then r.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    CapExceeded.check(n_max, cap, f"table (n_max={n_max})")
+    return tuple(
+        (n, k, r, modified_stirling(n, k, r, cap=cap))
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+        for r in range(k + 1)
+    )

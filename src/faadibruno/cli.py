@@ -15,10 +15,10 @@ from itertools import chain
 from typing import Iterable
 
 from . import verification
-from .bell import StirlingTable, modified_partial_bell
+from .bell import modified_partial_bell, stirling_table
 from .coefficients import CrossCheckError, coefficient_table
 from .diffalg import formula_expansion, nth_derivative_expansion
-from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_partitions
+from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, Partition, enumerate_partitions
 from .polynomials import RationalPolynomial, check_main_theorem
 
 FORMATS = ("json", "csv", "latex", "pretty")
@@ -120,38 +120,41 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False)
 
 
-def _cmd_partitions(args) -> int:
-    parts = enumerate_partitions(args.n, cap=args.cap)
+def _emit_rows(rows, args, *, frame, item, csv, pretty, latex, tabular, title=()) -> int:
+    """Write a table or listing in args.format: the one writer for every table.
+
+    json is one document, frame(list of item(row)).  csv, pretty and latex
+    write one line per row, each the row's template call, newline included:
+    pretty after the fixed head lines *title*, latex between the fixed head
+    lines *tabular* (the tabular opening and any column-header row) and the
+    tabular close.
+    """
     if args.format == "json":
-        # the header carries the count, so this listing is materialized
-        parts = list(parts)
-        text = _json_text(
-            {"n": args.n, "count": len(parts), "partitions": [p.to_json_dict() for p in parts]}
-        )
-        _emit(text, args.out)
+        _emit(_json_text(frame([item(row) for row in rows])), args.out)
         return 0
-    if args.format == "csv":
-        lines = (" ".join(str(a) for a in p.parts) for p in parts)
-    elif args.format == "latex":
-        rows = (("+".join(str(a) for a in p.parts) or "0") for p in parts)
-        lines = chain(
-            [r"\begin{tabular}{l}"], (rf"${row}$ \\" for row in rows), [r"\end{tabular}"]
-        )
-    else:
-        lines = (("+".join(str(a) for a in p.parts) or "0") for p in parts)
-    # streamed line by line: memory stays flat however many partitions there are
-    _write((line + "\n" for line in lines), args.out)
+    head, line, foot = {
+        "csv": ((), csv, ()),
+        "pretty": (title, pretty, ()),
+        "latex": (tabular, latex, (r"\end{tabular}",)),
+    }[args.format]
+    # streamed line by line: memory stays flat however many rows there are
+    fixed = "{}\n".format
+    _write(chain(map(fixed, head), map(line, rows), map(fixed, foot)), args.out)
     return 0
 
 
-def _emit_table(table, args) -> int:
-    # coefficient and Stirling tables render in all four formats
-    if args.format == "json":
-        text = _json_text(table.to_json_dict())
-    else:
-        text = {"csv": table.to_csv, "latex": table.to_latex, "pretty": table.pretty}[args.format]()
-    _emit(text, args.out)
-    return 0
+def _cmd_partitions(args) -> int:
+    # the json frame carries the count, so only that format is materialized
+    return _emit_rows(
+        enumerate_partitions(args.n, cap=args.cap),
+        args,
+        frame=lambda items: {"n": args.n, "count": len(items), "partitions": items},
+        item=Partition.to_json_dict,
+        csv=lambda p: " ".join(map(str, p.parts)) + "\n",
+        pretty=lambda p: ("+".join(map(str, p.parts)) or "0") + "\n",
+        latex=lambda p: f"${'+'.join(map(str, p.parts)) or '0'}$ \\\\\n",
+        tabular=(r"\begin{tabular}{l}",),
+    )
 
 
 def _emit_polynomial(poly, header: dict, what: str, args) -> int:
@@ -168,7 +171,18 @@ def _emit_polynomial(poly, header: dict, what: str, args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    return _emit_table(coefficient_table(args.n, args.s, verify=args.verify, cap=args.cap), args)
+    n, s = args.n, args.s
+    return _emit_rows(
+        coefficient_table(n, s, verify=args.verify, cap=args.cap),
+        args,
+        frame=lambda items: {"n": n, "s": s, "entries": items},
+        item=lambda e: {"r": e[0], "parts": list(e[1].parts), "coeff": str(e[2])},
+        csv=lambda e: f"{e[0]},{' '.join(map(str, e[1].parts))},{e[2]}\n",
+        pretty=lambda e: f"  r={e[0]}  {'+'.join(map(str, e[1].parts)) or '0':<18} {e[2]}\n",
+        latex=lambda e: f"{e[0]} & ({', '.join(map(str, e[1].parts))}) & {e[2]} \\\\\n",
+        title=(f"n={n} s={s}",),
+        tabular=(r"\begin{tabular}{rll}", r"$r$ & $\lambda$ & $C$ \\ \hline"),
+    )
 
 
 def _cmd_expand(args) -> int:
@@ -194,7 +208,16 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
-    return _emit_table(StirlingTable.build(args.n_max, cap=args.cap), args)
+    return _emit_rows(
+        stirling_table(args.n_max, cap=args.cap),
+        args,
+        frame=lambda items: {"n_max": args.n_max, "entries": items},
+        item=lambda e: {"n": e[0], "k": e[1], "r": e[2], "value": str(e[3])},
+        csv="{0[0]},{0[1]},{0[2]},{0[3]}\n".format,
+        pretty="S~({0[0]},{0[1]},{0[2]}) = {0[3]}\n".format,
+        latex="{0[0]} & {0[1]} & {0[2]} & {0[3]} \\\\\n".format,
+        tabular=(r"\begin{tabular}{rrrr}", r"$n$ & $k$ & $r$ & $\widetilde{S}$ \\ \hline"),
+    )
 
 
 def _cmd_check(args) -> int:

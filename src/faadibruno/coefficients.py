@@ -11,7 +11,6 @@ closed formula is the production path; the recurrence is the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -169,58 +168,15 @@ def c_coeff_by_recurrence(lam: Partition, r: int, s: int) -> int:
     return RecurrenceEvaluator(s).value(lam, r)
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """All coefficients for a fixed derivative order n and shift s.
-
-    Entries cover exactly the pairs (r, lam) with 0 <= r <= n, lam a partition
-    of n + r*s, and at least r parts of lam greater than s; ordering is
-    ascending r, then the partition enumeration order.
-    """
-
-    n: int
-    s: int
-    entries: tuple[tuple[int, Partition, int], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "entries": [
-                {"r": r, "parts": list(lam.parts), "coeff": str(c)}
-                for r, lam, c in self.entries
-            ],
-        }
-
-    def to_csv(self) -> str:
-        lines = []
-        for r, lam, c in self.entries:
-            lines.append(f"{r},{' '.join(str(a) for a in lam.parts)},{c}")
-        return "\n".join(lines)
-
-    def to_latex(self) -> str:
-        rows = [
-            rf"{r} & ({', '.join(str(a) for a in lam.parts)}) & {c} \\"
-            for r, lam, c in self.entries
-        ]
-        return "\n".join(
-            [rf"\begin{{tabular}}{{rll}}", r"$r$ & $\lambda$ & $C$ \\ \hline", *rows, r"\end{tabular}"]
-        )
-
-    def pretty(self) -> str:
-        lines = [f"n={self.n} s={self.s}"]
-        for r, lam, c in self.entries:
-            parts = "+".join(str(a) for a in lam.parts) or "0"
-            lines.append(f"  r={r}  {parts:<18} {c}")
-        return "\n".join(lines)
-
-
 def coefficient_table(
     n: int, s: int, verify: bool = False, cap: int = DEFAULT_WEIGHT_CAP
-) -> CoefficientTable:
-    """Build the full table for (n, s); optionally cross-check every entry.
+) -> tuple[tuple[int, Partition, int], ...]:
+    """All coefficients for derivative order n and shift s, as (r, lam, C(lam, r, s)).
 
-    In verify mode each closed-form value is recomputed through the
+    The entries cover exactly the pairs (r, lam) with 0 <= r <= n, lam a
+    partition of n + r*s, and at least r parts of lam greater than s; they
+    are ordered by ascending r, then the partition enumeration order.  In
+    verify mode each closed-form value is recomputed through the
     recurrence (one shared evaluator) and any disagreement raises
     :class:`CrossCheckError`.
     """
@@ -239,4 +195,4 @@ def coefficient_table(
                         f"C({lam!r}, r={r}, s={s}): closed form {c} != recurrence {again}"
                     )
             entries.append((r, lam, c))
-    return CoefficientTable(n=n, s=s, entries=tuple(entries))
+    return tuple(entries)

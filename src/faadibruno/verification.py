@@ -314,7 +314,7 @@ def _check_integrality(max_n, max_s, rng, trials, cap):
                 # a table that cannot be built is one failing instance
                 yield {"n": n, "s": s, "error": str(exc)}
                 continue
-            for r, lam, c in table.entries:
+            for r, lam, c in table:
                 ok = isinstance(c, int) and c > 0
                 yield None if ok else {"n": n, "s": s, "r": r, "lam": list(lam.parts)}
 
@@ -328,7 +328,7 @@ def _check_recurrence(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         evaluator = RecurrenceEvaluator(s)
         for n in range(max_n + 1):
-            for r, lam, c in coefficient_table(n, s, cap=cap).entries:
+            for r, lam, c in coefficient_table(n, s, cap=cap):
                 ok = evaluator.value(lam, r) == c
                 yield None if ok else {"n": n, "s": s, "r": r, "lam": list(lam.parts)}
 

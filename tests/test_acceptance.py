@@ -81,7 +81,7 @@ def test_criterion_03_recurrence_equals_closed_form():
     for s in range(4):
         evaluator = RecurrenceEvaluator(s)
         for n in range(10):
-            for r, lam, c in coefficient_table(n, s).entries:
+            for r, lam, c in coefficient_table(n, s):
                 assert evaluator.value(lam, r) == c, (n, s, r, lam)
                 checked += 1
                 if r == 0:
@@ -94,7 +94,7 @@ def test_criterion_04_integrality():
     checked = 0
     for s in range(5):
         for n in range(11):
-            for r, lam, c in coefficient_table(n, s).entries:
+            for r, lam, c in coefficient_table(n, s):
                 num = factorial(n) * elementary_moments(
                     lam.truncate_above(s).pochhammer(s), r
                 )[r]

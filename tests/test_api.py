@@ -9,7 +9,6 @@ import faadibruno
 
 PUBLIC_NAMES = {
     "CapExceeded",
-    "CoefficientTable",
     "CrossCheckError",
     "DEFAULT_WEIGHT_CAP",
     "DiffMonomial",
@@ -19,7 +18,6 @@ PUBLIC_NAMES = {
     "Partition",
     "RationalPolynomial",
     "RecurrenceEvaluator",
-    "StirlingTable",
     "YPolynomial",
     "c_coeff",
     "c_coeff_by_recurrence",
@@ -49,6 +47,7 @@ PUBLIC_NAMES = {
     "run_verification",
     "stirling2",
     "stirling_convolution",
+    "stirling_table",
     "substitute_psi",
     "subtract_transform",
     "touchard",

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from faadibruno import bell
 from faadibruno.bell import (
-    StirlingTable,
     YPolynomial,
     complete_bell,
     modified_complete_bell,
@@ -17,6 +16,7 @@ from faadibruno.bell import (
     product_form_partial,
     stirling2,
     stirling_convolution,
+    stirling_table,
     term_degree,
     term_weighted_degree,
     touchard,
@@ -215,6 +215,19 @@ def test_row_sum_doubling():
             assert row == 2**k * stirling2(n, k)
 
 
+def test_stirling2_has_no_deep_recursion():
+    # cold cache: the value must not recurse once per unit of k
+    stirling2.cache_clear()
+    try:
+        # warm the recursive oracle in increasing n, over the band (900, 450) depends on
+        for n in range(901):
+            for k in range(max(0, n - 450), min(n, 450) + 1):
+                stirling_triangular(n, k)
+        assert stirling2(900, 450) == stirling_triangular(900, 450)
+    finally:
+        stirling_triangular.cache_clear()
+
+
 def test_touchard():
     assert touchard(0) == (1,)
     assert touchard(2) == (0, 1, 1)
@@ -268,12 +281,13 @@ def test_ypolynomial_rendering():
 
 
 def test_stirling_table():
-    table = StirlingTable.build(2)
-    assert (2, 2, 1, 2) in table.entries
-    assert table.to_csv().splitlines()[0] == "0,0,0,1"
-    data = table.to_json_dict()
-    assert data["n_max"] == 2
-    assert {"n": 2, "k": 2, "r": 1, "value": "2"} in data["entries"]
+    # the entries behind every format; their bytes are pinned in test_cli.py
+    table = stirling_table(2)
+    assert (2, 2, 1, 2) in table
+    assert table[0] == (0, 0, 0, 1)
+    assert [row[:3] for row in table] == [
+        (n, k, r) for n in range(3) for k in range(n + 1) for r in range(k + 1)
+    ]
 
 
 # Property tests: the shared sparse core against the plain dict-of-terms
@@ -368,7 +382,7 @@ def test_stirling_table_passes_its_cap(monkeypatch):
         return modified_stirling(n, k, r, cap=cap)
 
     monkeypatch.setattr(bell, "modified_stirling", recording)
-    assert StirlingTable.build(4, cap=100) == StirlingTable.build(4)
+    assert stirling_table(4, cap=100) == stirling_table(4)
     assert caps == {100, 64}
 
 

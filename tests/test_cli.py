@@ -1,11 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faadibruno.cli import main
 
@@ -309,3 +315,53 @@ def test_polynomial_csv_is_refused(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def run_main(argv):
+    """(exit code, stdout bytes, stderr text) of one in-process run; argparse exits count."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.flush()
+    return code, out.buffer.getvalue(), err.getvalue()
+
+
+TABLE_ARGV = st.one_of(
+    st.builds(lambda n: ["partitions", "--n", str(n)], st.integers(0, 15)),
+    st.builds(
+        lambda n, s: ["coeff", "--n", str(n), "--s", str(s)], st.integers(0, 6), st.integers(0, 3)
+    ),
+    st.builds(lambda n: ["stirling", "--n-max", str(n)], st.integers(0, 8)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TABLE_ARGV, st.sampled_from(["json", "csv", "latex", "pretty"]), st.integers(1, 20))
+def test_row_writer_exits_cleanly_and_out_matches_stdout(argv, fmt, cap):
+    argv = [*argv, "--format", fmt, "--cap", str(cap)]
+    code, stdout, stderr = run_main(argv)
+    assert code in (0, 2), (code, stderr)
+    assert "Traceback" not in stderr
+    if code == 2:
+        assert stdout == b"" and stderr.startswith("error: ")
+        return
+    assert stdout.endswith(b"\n") and stderr == ""
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "table"
+        assert run_main([*argv, "--out", str(target)]) == (0, b"", "")
+        assert target.read_bytes() == stdout
+
+
+@pytest.mark.parametrize(
+    "order", [["--n", "10000000"], ["--n", "1000000000"], ["--n", "1", "--s", "10000000"]]
+)
+def test_check_refuses_an_over_cap_order_before_any_work(order):
+    start = time.perf_counter()
+    code, stdout, stderr = run_main(["check", "--f", "0,1", "--g", "1", "--phi", "0,1", *order])
+    assert time.perf_counter() - start < 1.0
+    assert (code, stdout) == (2, b"")
+    assert stderr.startswith("error: formula expansion (n=") and stderr.endswith(" > cap 64\n")
+    assert stderr.count("\n") == 1

@@ -3,11 +3,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faadibruno.bell import (
-    StirlingTable,
     modified_stirling,
     partial_bell,
     product_form_complete,
     product_form_partial,
+    stirling_table,
 )
 from faadibruno.coefficients import coefficient_table
 from faadibruno.diffalg import (
@@ -115,7 +115,7 @@ def test_enumeration_cap():
         (lambda cap: list(enumerate_partitions(5, cap=cap)), 5),
         (lambda cap: list(enumerate_constrained(3, 1, 2, cap=cap)), 5),
         (lambda cap: coefficient_table(2, 1, cap=cap), 4),
-        (lambda cap: StirlingTable.build(4, cap=cap), 4),
+        (lambda cap: stirling_table(4, cap=cap), 4),
         (lambda cap: partial_bell(5, 2, cap=cap), 5),
         (lambda cap: modified_stirling(5, 2, 1, cap=cap), 5),
         (lambda cap: product_form_partial(3, 2, 1, 1, cap=cap), 4),
@@ -129,7 +129,7 @@ def test_enumeration_cap():
         "enumerate_partitions",
         "enumerate_constrained",
         "coefficient_table",
-        "StirlingTable.build",
+        "stirling_table",
         "partial_bell",
         "modified_stirling",
         "product_form_partial",

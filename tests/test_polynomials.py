@@ -69,6 +69,8 @@ def test_derivative_order_and_power():
         p.derivative(-1)
     with pytest.raises(ValueError):
         p ** -1
+    # past its degree a polynomial is zero, and the loop stops there
+    assert RationalPolynomial([1, 2]).derivative(10**9).is_zero()
 
 
 def test_from_string():

@@ -34,7 +34,7 @@ def test_unbuildable_table_is_one_failing_instance(monkeypatch):
     for max_n in (0, 3):
         report = verification.run_all(max_n=max_n, max_s=0)
         (result,) = report["identities"]
-        others = sum(len(coefficient_table(n, 0).entries) for n in range(1, max_n + 1))
+        others = sum(len(coefficient_table(n, 0)) for n in range(1, max_n + 1))
         assert result["instances"] == others + 1
         assert result["failures"] == 1
         assert result["failures"] <= result["instances"]
@@ -50,7 +50,7 @@ def test_passing_integrality_report_counts_every_entry(monkeypatch):
     only_suite(monkeypatch, "coefficient_integrality")
     (result,) = verification.run_all(max_n=4, max_s=2)["identities"]
     entries = sum(
-        len(coefficient_table(n, s).entries) for s in range(3) for n in range(5)
+        len(coefficient_table(n, s)) for s in range(3) for n in range(5)
     )
     assert (result["instances"], result["failures"]) == (entries, 0)
     assert result["passed"] is True and result["counterexample"] is None
