@@ -293,6 +293,16 @@ OUTPUT_SHA256 = {
         "bb48962f1bc9f656b663d313b7dd709d6b8ce0281c4cd4a637cb8b44581156fb",
     "stirling --n-max 0 --format json":
         "c34eae8ee1abf6ab9413f033ef19d8553d4f5ba641714bc907e5bd887fac221e",
+    # recorded at 3cac714, while the modified Stirling numbers were still a
+    # memoized partition sum, before they became binom(k, r) * S(n, k)
+    "stirling --n-max 20 --format pretty":
+        "501f9b77a7213b927ecb33d170b2ade7b29cc67ab378f60feeb29be346de7383",
+    "stirling --n-max 20 --format csv":
+        "f950a91803bda331cf2873a633d2b0155c0725fdc35613aa3d0dae85c62cf4ff",
+    "stirling --n-max 20 --format latex":
+        "13f3fd9b183dbdd5e20242fbc91ac59a1842f164689afca372b6a0149360d0fe",
+    "stirling --n-max 20 --format json":
+        "bb2c021a159208b18cb7905b230c86d3ec1831c2e4895a18f16b9edc98df6854",
 }
 
 
