@@ -1,9 +1,9 @@
 """Bell-type polynomials in formal variables y_i, and the Stirling-type numbers they induce.
 
-Every object here is anchored to its defining sum over partitions (with the
-coefficients from :mod:`faadibruno.coefficients`); the identities relating
-the objects are exercised by the test suite and the `verify` subcommand, never
-assumed.
+Every polynomial here is anchored to its defining sum over partitions (with
+the coefficients from :mod:`faadibruno.coefficients`); the numbers take their
+closed forms.  The identities relating the objects are exercised by the test
+suite and the `verify` subcommand, never assumed.
 """
 
 from __future__ import annotations
@@ -211,21 +211,18 @@ def stirling2(n: int, k: int) -> int:
     return total // factorial(k)
 
 
-@_capped_cache
-def modified_stirling(n: int, k: int, r: int) -> int:
+def modified_stirling(n: int, k: int, r: int, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """Image of modified_partial_bell under y_i -> c^i x, read off at c^(n+rs) x^k.
 
-    The value does not depend on s (a verified property, not an assumption);
-    it is evaluated here at s = 0, where it is the plain coefficient sum
-    over partitions of n with k parts.  Takes the keyword ``cap``:
+    Computed in closed form as binom(k, r) * S(n, k).  That the image does
+    not depend on s, and that it equals this product, are checked by `verify`
+    against the partition sum in modified_partial_bell, never assumed.
     CapExceeded when n > cap.
     """
-    if n < 0 or k < 0 or r < 0 or k > n or r > k:
+    CapExceeded.check(n, cap, "modified_stirling")
+    if r < 0 or r > k:
         return 0
-    total = 0
-    for lam in enumerate_constrained(n, 0, 0, cap=n, length=k):
-        total += c_coeff(lam, r, 0)
-    return total
+    return comb(k, r) * stirling2(n, k)
 
 
 def stirling_convolution(n: int, k: int, r: int) -> int:

@@ -512,6 +512,11 @@ def _check_bell_recurrence(max_n, max_s, rng, trials, cap):
                     yield None if lhs == rhs else {"n": n, "k": k, "r": r, "s": s}
 
 
+def _stirling_by_definition(n, k, r, cap):
+    # the partition sum itself: modified_partial_bell at s = 0 under y_i -> c^i x
+    return bell.modified_partial_bell(n, k, r, 0, cap=cap).substitute_geometric().get((n, k), 0)
+
+
 @_suite(
     "modified_stirling_s_independent",
     "the geometric substitution collapses every modified partial Bell polynomial "
@@ -536,7 +541,7 @@ def _check_stirling_s_independent(max_n, max_s, rng, trials, cap):
 def _check_stirling_base_row(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
         for k in range(n + 1):
-            ok = bell.modified_stirling(n, k, 0) == bell.stirling2(n, k)
+            ok = _stirling_by_definition(n, k, 0, cap) == bell.stirling2(n, k)
             yield None if ok else {"n": n, "k": k}
 
 
@@ -549,7 +554,7 @@ def _check_stirling_convolution(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
         for k in range(n + 1):
             for r in range(k + 1):
-                ok = bell.stirling_convolution(n, k, r) == bell.modified_stirling(n, k, r)
+                ok = bell.stirling_convolution(n, k, r) == _stirling_by_definition(n, k, r, cap)
                 yield None if ok else {"n": n, "k": k, "r": r}
 
 
@@ -568,7 +573,7 @@ def _check_stirling_convolution_unweighted(max_n, max_s, rng, trials, cap):
                     bell.stirling2(n - p, k - r) * bell.stirling2(p, r)
                     for p in range(r, n - k + r + 1)
                 )
-                definitional = bell.modified_stirling(n, k, r)
+                definitional = _stirling_by_definition(n, k, r, cap)
                 yield None if unweighted == definitional else {
                     "n": n,
                     "k": k,
@@ -586,7 +591,7 @@ def _check_stirling_convolution_unweighted(max_n, max_s, rng, trials, cap):
 def _check_stirling_row_sum(max_n, max_s, rng, trials, cap):
     for n in range(max_n + 1):
         for k in range(n + 1):
-            row = sum(bell.modified_stirling(n, k, r) for r in range(k + 1))
+            row = sum(_stirling_by_definition(n, k, r, cap) for r in range(k + 1))
             yield None if row == 2**k * bell.stirling2(n, k) else {"n": n, "k": k}
 
 

@@ -386,6 +386,16 @@ def test_stirling_table_passes_its_cap(monkeypatch):
     assert caps == {100, 64}
 
 
+def test_stirling_table_never_enumerates_partitions(monkeypatch):
+    # the closed form binom(k, r) * S(n, k): the whole default-cap table needs no partition
+    def refuse(*args, **kwargs):
+        raise AssertionError("modified Stirling numbers must not enumerate partitions")
+
+    monkeypatch.setattr(bell, "enumerate_constrained", refuse)
+    assert len(stirling_table(64)) == 47905  # binom(67, 3) rows
+    assert modified_stirling(64, 32, 16) == comb(32, 16) * stirling2(64, 32)
+
+
 def test_product_forms_refuse_what_the_definitions_refuse():
     with pytest.raises(CapExceeded):
         modified_complete_bell(3, 0, cap=1)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from faadibruno import symfunc, verification
+from faadibruno import bell, symfunc, verification
 from faadibruno.coefficients import IntegralityError, coefficient_table
+from faadibruno.partitions import DEFAULT_WEIGHT_CAP
 
 
 def only_suite(monkeypatch, key):
@@ -100,3 +101,43 @@ def test_subtract_transform_suite_reports_a_wrong_vector(monkeypatch):
     (result,) = verification.run_all(max_n=2, max_s=0)["identities"]
     assert result["failures"] > 0 and result["passed"] is False
     assert result["counterexample"] == {"multiset": [5], "value": 5}
+
+
+def stirling_suites(monkeypatch):
+    # the seven Stirling suites at the benchmark grid, keyed by suite
+    monkeypatch.setattr(
+        verification, "SUITES", tuple(e for e in verification.SUITES if "stirling" in e[0])
+    )
+    report = verification.run_all(max_n=7, max_s=3)
+    return {result["key"]: result for result in report["identities"]}
+
+
+def test_stirling_suites_compare_with_the_definition_not_the_closed_form(monkeypatch):
+    # modified_stirling is binom(k, r) * S(n, k), so a wrong S(n, k) makes it wrong
+    # too; a suite that compared the closed form with itself would still pass
+    real = bell.stirling2
+    monkeypatch.setattr(bell, "stirling2", lambda n, k: real(n, k) + ((n, k) == (5, 2)))
+    results = stirling_suites(monkeypatch)
+    for key in ("modified_stirling_base_row", "stirling_row_sum_doubling"):
+        assert results[key]["passed"] is False, key
+        assert results[key]["counterexample"] == {"n": 5, "k": 2}
+
+
+def test_a_wrong_modified_stirling_number_fails_s_independence(monkeypatch):
+    real = bell.modified_stirling
+
+    def wrong(n, k, r, cap=DEFAULT_WEIGHT_CAP):
+        return real(n, k, r, cap=cap) + ((n, k, r) == (5, 3, 1))
+
+    monkeypatch.setattr(bell, "modified_stirling", wrong)
+    results = stirling_suites(monkeypatch)
+    s_independent = results["modified_stirling_s_independent"]
+    assert s_independent["passed"] is False
+    assert s_independent["counterexample"] == {"n": 5, "k": 3, "r": 1, "s": 0}
+    # the suites that read the partition sum do not see the wrong value
+    for key in (
+        "modified_stirling_base_row",
+        "stirling_convolution_corrected",
+        "stirling_row_sum_doubling",
+    ):
+        assert results[key]["passed"] is True, key
