@@ -51,7 +51,6 @@ def _polynomial(text: str) -> RationalPolynomial:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="pretty")
-    common.add_argument("--seed", type=_nonneg, default=0)
     common.add_argument("--cap", type=_positive, default=DEFAULT_WEIGHT_CAP)
     common.add_argument("--out", metavar="FILE", default=None)
 
@@ -95,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_nonneg, default=5)
     p.add_argument("--max-s", type=_nonneg, default=2)
     p.add_argument("--trials", type=_nonneg, default=20)
+    p.add_argument("--seed", type=_nonneg, default=0)
 
     return parser
 

@@ -339,6 +339,14 @@ def run_main(argv):
     return code, out.buffer.getvalue(), err.getvalue()
 
 
+def assert_out_file_holds(argv, stdout):
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out"
+        assert run_main([*argv, "--out", str(target)]) == (0, b"", "")
+        assert target.read_bytes() == stdout
+
+
+FORMAT_FLAGS = st.sampled_from(["json", "csv", "latex", "pretty"])
 TABLE_ARGV = st.one_of(
     st.builds(lambda n: ["partitions", "--n", str(n)], st.integers(0, 15)),
     st.builds(
@@ -349,7 +357,7 @@ TABLE_ARGV = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(TABLE_ARGV, st.sampled_from(["json", "csv", "latex", "pretty"]), st.integers(1, 20))
+@given(TABLE_ARGV, FORMAT_FLAGS, st.integers(1, 20))
 def test_row_writer_exits_cleanly_and_out_matches_stdout(argv, fmt, cap):
     argv = [*argv, "--format", fmt, "--cap", str(cap)]
     code, stdout, stderr = run_main(argv)
@@ -359,10 +367,46 @@ def test_row_writer_exits_cleanly_and_out_matches_stdout(argv, fmt, cap):
         assert stdout == b"" and stderr.startswith("error: ")
         return
     assert stdout.endswith(b"\n") and stderr == ""
-    with tempfile.TemporaryDirectory() as tmp:
-        target = Path(tmp) / "table"
-        assert run_main([*argv, "--out", str(target)]) == (0, b"", "")
-        assert target.read_bytes() == stdout
+    assert_out_file_holds(argv, stdout)
+
+
+POLYNOMIAL_ARGV = st.one_of(
+    st.integers(0, 6).flatmap(
+        lambda n: st.builds(
+            lambda k, r, s: ["bell", "--n", str(n), "--k", str(k), "--r", str(r), "--s", str(s)],
+            st.integers(0, n + 1),
+            st.integers(0, n + 1),
+            st.integers(0, 2),
+        )
+    ),
+    st.builds(
+        lambda n, s, verify: ["expand", "--n", str(n), "--s", str(s)] + ["--verify"] * verify,
+        st.integers(0, 4),
+        st.integers(0, 2),
+        st.booleans(),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(POLYNOMIAL_ARGV, FORMAT_FLAGS, st.integers(1, 20))
+def test_polynomial_writers_exit_cleanly_and_out_matches_stdout(argv, fmt, cap):
+    argv = [*argv, "--format", fmt, "--cap", str(cap)]
+    code, stdout, stderr = run_main(argv)
+    assert code in (0, 1, 2), (code, stderr)
+    assert "Traceback" not in stderr
+    if code == 2:
+        # one line: a cap error, or the csv refusal, which has no "error: " prefix
+        assert stdout == b"" and stderr.endswith("\n") and stderr.count("\n") == 1
+        assert stderr.startswith(("error: ", "csv output is not defined for ")), stderr
+    elif code == 0:
+        assert_out_file_holds(argv, stdout)
+
+
+def test_seed_belongs_to_verify_alone():
+    code, stdout, stderr = run_main(["partitions", "--n", "3", "--seed", "1"])
+    assert (code, stdout) == (2, b"")
+    assert "unrecognized arguments: --seed 1" in stderr
 
 
 @pytest.mark.parametrize(
