@@ -213,11 +213,8 @@ def stirling2(n: int, k: int) -> int:
 
 def modified_stirling(n: int, k: int, r: int, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """Image of modified_partial_bell under y_i -> c^i x, read off at c^(n+rs) x^k.
-
-    Computed in closed form as binom(k, r) * S(n, k).  That the image does
-    not depend on s, and that it equals this product, are checked by `verify`
-    against the partition sum in modified_partial_bell, never assumed.
-    CapExceeded when n > cap.
+    Computed as binom(k, r) * S(n, k), which `verify` checks against that
+    partition sum at every s.  CapExceeded when n > cap.
     """
     CapExceeded.check(n, cap, "modified_stirling")
     if r < 0 or r > k:

@@ -513,7 +513,6 @@ def _check_bell_recurrence(max_n, max_s, rng, trials, cap):
 
 
 def _stirling_by_definition(n, k, r, cap):
-    # the partition sum itself: modified_partial_bell at s = 0 under y_i -> c^i x
     return bell.modified_partial_bell(n, k, r, 0, cap=cap).substitute_geometric().get((n, k), 0)
 
 
