@@ -303,6 +303,12 @@ OUTPUT_SHA256 = {
         "13f3fd9b183dbdd5e20242fbc91ac59a1842f164689afca372b6a0149360d0fe",
     "stirling --n-max 20 --format json":
         "bb2c021a159208b18cb7905b230c86d3ec1831c2e4895a18f16b9edc98df6854",
+    # verified tables at s > 0, recorded at 9b5544e, while each coefficient was
+    # still rebuilt per entry and the recurrence memo was keyed on (parts, r)
+    "coeff --n 20 --s 2 --verify --format csv":
+        "d189476825a479db6c7d813e1203d71fc6ce11a79cdfc827f7eda8e750a25717",
+    "coeff --n 12 --s 3 --verify --format json":
+        "b0416a3b28beacae36ccdfd3a0f61885b99372342c15749fa5ee5936b6d48029",
 }
 
 
