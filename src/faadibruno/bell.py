@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 from math import comb, factorial
 
-from .coefficients import c_coeff, faa_di_bruno_coeff
+from .coefficients import constrained_coefficients, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_constrained
 from .sparse import ExponentMap as Exps
 from .sparse import SparsePolynomial, _accumulate, _merge
@@ -145,8 +145,7 @@ def modified_partial_bell(
     if n < 0 or k < 0 or r < 0 or k > n or r > k:
         return YPolynomial.zero()
     return YPolynomial(
-        (lam.items(), c_coeff(lam, r, s))
-        for lam in enumerate_constrained(n, r, s, cap=cap, length=k)
+        (lam.items(), c) for lam, c in constrained_coefficients(n, r, s, cap=cap, length=k)
     )
 
 

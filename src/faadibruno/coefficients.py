@@ -12,7 +12,8 @@ closed formula is the production path; the recurrence is the cross-check.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, perm
+from typing import Iterator
 
 from .partitions import (
     DEFAULT_WEIGHT_CAP,
@@ -75,6 +76,58 @@ def c_coeff(lam: Partition, r: int, s: int) -> int:
     return q
 
 
+def constrained_coefficients(
+    n: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP, length: int | None = None
+) -> Iterator[tuple[Partition, int]]:
+    """(lam, C(lam, r, s)) for each lam of enumerate_constrained(n, r, s, cap, length).
+
+    Same partitions in the same order, each coefficient folded along the
+    partition walk instead of rebuilt per entry.  A state is the pair
+    (e, den): e is the elementary vector, to degree r, of the falling
+    factorials (i)_s of the placed parts i > s, and den is the running
+    prod_i (i!)^m_i m_i!.  Placing a part i whose multiplicity becomes m
+    multiplies den by i! * m and, when i > s, multiplies e by 1 + (i)_s X;
+    both cost O(r) once per shared prefix.  The trailing run of t ones
+    closes the fold at the leaf: den gains t!, and for s = 0, where each 1
+    is a part above s with (1)_0 = 1, e_r becomes sum_j binom(t, j) e_{r-j}.
+    Integrality is asserted as in :func:`c_coeff`, which stays the
+    independent per-entry form.
+    """
+    if n < 0 or r < 0 or s < 0:
+        raise ValueError("n, r, s must be non-negative")
+    top = _fact(n)
+    weight = n + r * s
+    facts = [_fact(i) for i in range(weight + 1)]
+    falling = [perm(i, s) for i in range(weight + 1)]
+
+    def push(state, i, m):
+        # e holds degrees 0..min(parts above s so far, r); higher ones are 0
+        e, den = state
+        if i > s:
+            x = falling[i]
+            grown = [a + x * b for a, b in zip(e[1:], e)]
+            if len(e) <= r:
+                grown.append(x * e[-1])
+            e = (1, *grown)
+        return e, den * facts[i] * m
+
+    def close(state, ones):
+        e, den = state
+        e_r = e[r] if r < len(e) else 0
+        if ones:
+            den *= facts[ones]
+            if s == 0:
+                low = max(r - len(e) + 1, 0)
+                e_r = sum(comb(ones, j) * e[r - j] for j in range(low, min(ones, r) + 1))
+        q, rem = divmod(top * e_r, den)
+        if rem:
+            raise IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
+        return q
+
+    start = ((1,), 1)
+    return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(start, push, close))
+
+
 class RecurrenceEvaluator:
     """Memoized recurrence evaluation of C(., ., s) for a fixed shift s.
 
@@ -83,14 +136,20 @@ class RecurrenceEvaluator:
     C(lam without one part s + 1, r - 1, s) when r >= 1; the empty partition
     gives [r == 0].  value() evaluates it by an iterative post-order walk on an
     explicit stack, so the depth of a decrement chain is bounded by memory, not
-    by Python's recursion limit.  A state is its descending parts tuple with r,
-    and the memo is keyed on that pair.
+    by Python's recursion limit.
 
-    A state with fewer than r parts greater than s is 0 and is never visited.
-    This is a property of the recurrence itself, by induction on the weight: a
+    The memo is keyed on the descending parts tuple alone: r enters the
+    recurrence only through the shifted removal term, so one walk over a
+    partition's children serves every r at once.  An entry (lo, values) holds
+    values[r] = C(parts, r, s) for lo <= r <= k, with k the number of
+    parts greater than s; C is 0 for r > k, by induction on the weight: a
     decrement keeps r and never adds a part above s, a removal lowers both r
-    and that count by one, and the empty partition with r >= 1 is 0.  The
-    closed formula is not consulted, so the two evaluations stay independent.
+    and that count by one, and the empty partition with r >= 1 is 0.  A
+    decrement child is asked for the same lo, the removal child of a part
+    s + 1 for lo - 1, and a child with fewer than lo parts above s is
+    skipped.  An entry is recomputed when a later query needs a lower lo.
+    The closed formula is not consulted, so the two evaluations stay
+    independent.
 
     One evaluator should be shared across many queries with the same s: the
     recurrence revisits sub-partitions exponentially often otherwise.  The memo
@@ -102,14 +161,15 @@ class RecurrenceEvaluator:
         if s < 0:
             raise ValueError("s must be non-negative")
         self.s = s
-        self._memo: dict[tuple[tuple[int, ...], int], int] = {((), 0): 1}
+        # parts -> (lo, values), values[r] = C(parts, r, s) for lo <= r <= k
+        self._memo: dict[tuple[int, ...], tuple[int, list[int]]] = {(): (0, [1])}
 
-    def _is_zero(self, parts: tuple[int, ...], r: int) -> bool:
-        # fewer than r parts above s, read off the descending tuple
-        return r > len(parts) or (r > 0 and parts[r - 1] <= self.s)
+    def _children(self, parts: tuple[int, ...], k: int, lo: int) -> list[tuple]:
+        """(weight, child, its k, its lo) for every term of the recurrence at parts.
 
-    def _children(self, parts: tuple[int, ...], r: int) -> list[tuple[int, tuple]]:
-        """(weight, state) for every non-zero term of the recurrence at (parts, r)."""
+        A decrement child contributes weight * C(child, r) to C(parts, r); the
+        removal child of a part s + 1 has weight 0 and contributes C(child, r - 1).
+        """
         s = self.s
         out = []
         end = len(parts)
@@ -121,10 +181,15 @@ class RecurrenceEvaluator:
                 start -= 1
             head, tail = parts[: end - 1], parts[end:]  # one j (its last copy) left out
             child = head + (j - 1,) + tail if j > 1 else head
-            if not self._is_zero(child, r):
-                out.append((below_mult + 1 if below == j - 1 else 1, (child, r)))
-            if j == s + 1 and r:
-                out.append((1, (head + tail, r - 1)))
+            weight = below_mult + 1 if below == j - 1 else 1
+            if j == s + 1:
+                # the removal goes first: at s = 0 it is the same tuple as the
+                # decrement, and it needs the lower lo
+                out.append((0, head + tail, k - 1, lo - 1 if lo else 0))
+                if k > lo:
+                    out.append((weight, child, k - 1, lo))
+            else:
+                out.append((weight, child, k, lo))
             below, below_mult = j, end - start
             end = start
         return out
@@ -132,31 +197,46 @@ class RecurrenceEvaluator:
     def value(self, lam: Partition, r: int) -> int:
         if r < 0:
             raise ValueError("r must be non-negative")
-        root = (lam.parts, r)
-        if self._is_zero(*root):
+        parts = lam.parts
+        k = len(parts)
+        while k and parts[k - 1] <= self.s:
+            k -= 1
+        if r > k:
             return 0
+        entry = self._memo.get(parts)
+        if entry is None or entry[0] > r:
+            self._fill(parts, k, r)
+            entry = self._memo[parts]
+        return entry[1][r]
+
+    def _fill(self, parts: tuple[int, ...], k: int, lo: int) -> None:
+        # frames: [parts, k, lo, children, index of the next unread child, sums by r]
         memo = self._memo
-        if root in memo:
-            return memo[root]
-        # frames: [state, children, index of the next unread child, partial sum]
-        stack = [[root, self._children(*root), 0, 0]]
+        stack = [[parts, k, lo, self._children(parts, k, lo), 0, [0] * (k + 1)]]
         while stack:
             frame = stack[-1]
-            _, children, i, total = frame
+            _, k, lo, children, i, acc = frame
             while i < len(children):
-                weight, child = children[i]
-                v = memo.get(child)
-                if v is None:
+                weight, child, ck, clo = children[i]
+                entry = memo.get(child)
+                if entry is None or entry[0] > clo:
                     break
-                total += weight * v
+                values = entry[1]
+                if weight and ck == lo:  # the common case of one shared r
+                    acc[lo] += weight * values[lo]
+                elif weight:
+                    for r in range(lo, ck + 1):
+                        acc[r] += weight * values[r]
+                else:
+                    for r in range(lo or 1, k + 1):
+                        acc[r] += values[r - 1]
                 i += 1
             if i < len(children):
-                frame[2], frame[3] = i, total
-                stack.append([child, self._children(*child), 0, 0])
+                frame[4] = i
+                stack.append([child, ck, clo, self._children(child, ck, clo), 0, [0] * (ck + 1)])
             else:
-                memo[frame[0]] = total
+                memo[frame[0]] = (lo, acc)
                 stack.pop()
-        return memo[root]
 
 
 def c_coeff_by_recurrence(lam: Partition, r: int, s: int) -> int:
@@ -186,8 +266,7 @@ def coefficient_table(
     evaluator = RecurrenceEvaluator(s) if verify else None
     entries: list[tuple[int, Partition, int]] = []
     for r in range(n + 1):
-        for lam in enumerate_constrained(n, r, s, cap=cap):
-            c = c_coeff(lam, r, s)
+        for lam, c in constrained_coefficients(n, r, s, cap=cap):
             if evaluator is not None:
                 again = evaluator.value(lam, r)
                 if again != c:

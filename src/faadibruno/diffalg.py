@@ -24,13 +24,8 @@ from itertools import product
 from math import comb, prod
 from typing import Iterable, NamedTuple, Union
 
-from .coefficients import c_coeff, faa_di_bruno_coeff
-from .partitions import (
-    DEFAULT_WEIGHT_CAP,
-    CapExceeded,
-    enumerate_constrained,
-    enumerate_partitions,
-)
+from .coefficients import constrained_coefficients, faa_di_bruno_coeff
+from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_partitions
 from .sparse import ExponentMap, SparsePolynomial, _canon, _merge
 
 
@@ -214,9 +209,9 @@ def formula_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPoly
         raise ValueError("n and s must be non-negative")
     CapExceeded.check(n * (1 + s), cap, f"formula expansion (n={n}, s={s})")
     return DiffPolynomial(
-        (DiffMonomial(lam.length - r, r, lam.items(), ()), c_coeff(lam, r, s))
+        (DiffMonomial(lam.length - r, r, lam.items(), ()), c)
         for r in range(n + 1)
-        for lam in enumerate_constrained(n, r, s, cap=cap)
+        for lam, c in constrained_coefficients(n, r, s, cap=cap)
     )
 
 

@@ -166,7 +166,7 @@ class Partition:
         return f"Partition({list(self._parts)})"
 
 
-def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Partition]:
+def _descending(total: int, r: int, s: int, length: int | None, fold=None) -> Iterator:
     # Partitions of total with at least r parts greater than s (and exactly
     # `length` parts unless None), in decreasing lexicographic order of the
     # summand sequence.  A depth-first walk over the parts, largest first, kept
@@ -180,6 +180,8 @@ def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Part
     # least ceil(rem / slots); without a length, drop the slot terms.  A
     # trailing run of 1s is placed in one step, which keeps the walk O(1)
     # amortized per partition.
+    # With a fold (see enumerate_constrained), its states ride on a stack
+    # beside the parts and each leaf yields (partition, close(state, ones)).
     if length is None:
         if r * (s + 1) > total:
             return
@@ -190,6 +192,10 @@ def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Part
     parts: list[int] = []  # the placed parts greater than 1, decreasing
     lows: list[int] = []  # the smallest admissible value of each placed part
     rem, above, ones = total, 0, 0
+    folding = fold is not None
+    if folding:
+        start, push, close = fold
+        states = [start]  # states[k] folds the first k placed parts
     pending = 0  # after backtracking: the next value of the part just removed
     while True:
         while rem:
@@ -218,7 +224,10 @@ def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Part
             rem -= part
             if part > s:
                 above += 1
-        yield Partition._make(tuple(parts) + (1,) * ones, tuple(sorted(mults.items())))
+            if folding:
+                states.append(push(states[-1], part, mults[part]))
+        lam = Partition._make(tuple(parts) + (1,) * ones, tuple(sorted(mults.items())))
+        yield (lam, close(states[-1], ones)) if folding else lam
         if ones:
             del mults[1]
             rem, ones = ones, 0
@@ -232,6 +241,8 @@ def _descending(total: int, r: int, s: int, length: int | None) -> Iterator[Part
             rem += part
             if part > s:
                 above -= 1
+            if folding:
+                states.pop()
             if part > lo:
                 pending = part - 1
                 break
@@ -248,8 +259,13 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Part
 
 
 def enumerate_constrained(
-    n: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP, length: int | None = None
-) -> Iterator[Partition]:
+    n: int,
+    r: int,
+    s: int,
+    cap: int = DEFAULT_WEIGHT_CAP,
+    length: int | None = None,
+    fold: tuple | None = None,
+) -> Iterator:
     """Partitions of n + r*s having at least r parts greater than s.
 
     Same order as :func:`enumerate_partitions`.  The sequence is empty
@@ -257,6 +273,14 @@ def enumerate_constrained(
     With *length* set, only the partitions with exactly that many parts are
     produced.  The cost is proportional to the partitions produced, not to
     all partitions of n + r*s.
+
+    With *fold* = (start, push, close), each item is a pair (partition,
+    value) and the value is folded part by part along the walk: placing a
+    part p whose multiplicity becomes m maps the state of the parts before
+    it to push(state, p, m), from start for the first part, and the value
+    is close(state, ones), where ones is the number of trailing 1s, which
+    are never pushed.  A state is shared by every partition that starts
+    with the same parts, so a push costs once per prefix, not per partition.
     """
     if n < 0 or r < 0 or s < 0:
         raise ValueError("n, r, s must be non-negative")
@@ -264,4 +288,4 @@ def enumerate_constrained(
         raise ValueError("length must be non-negative")
     weight = n + r * s
     CapExceeded.check(weight, cap, "constrained enumeration")
-    return _descending(weight, r, s, length)
+    return _descending(weight, r, s, length, fold)

@@ -2,13 +2,17 @@ import sys
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import faadibruno.coefficients as coefficients
 from faadibruno.coefficients import (
     CrossCheckError,
     RecurrenceEvaluator,
     c_coeff,
     c_coeff_by_recurrence,
     coefficient_table,
+    constrained_coefficients,
     faa_di_bruno_coeff,
 )
 from faadibruno.partitions import (
@@ -200,11 +204,78 @@ def test_verify_mode_runs_clean():
 
 
 def test_verify_mode_detects_disagreement(monkeypatch):
-    import faadibruno.coefficients as coefficients
+    real = coefficients.constrained_coefficients
 
-    real = coefficients.c_coeff
-    monkeypatch.setattr(
-        coefficients, "c_coeff", lambda lam, r, s: real(lam, r, s) + (r == 1)
-    )
+    def wrong(n, r, s, cap):
+        return ((lam, c + (r == 1)) for lam, c in real(n, r, s, cap=cap))
+
+    monkeypatch.setattr(coefficients, "constrained_coefficients", wrong)
     with pytest.raises(CrossCheckError):
         coefficient_table(2, 1, verify=True)
+
+
+# n <= 14 and s <= 4 reach weight 14 + 14 * 4 = 70, past the default cap
+PROPERTY_CAP = 70
+ORDERS = st.integers(0, 14)
+SHIFTS = st.integers(0, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, SHIFTS)
+def test_folded_table_rows_equal_the_closed_form(n, s):
+    for r, lam, c in coefficient_table(n, s, cap=PROPERTY_CAP):
+        assert c == c_coeff(lam, r, s), (r, lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, SHIFTS, st.data())
+def test_folded_rows_of_one_length_follow_the_enumeration(n, s, data):
+    r = data.draw(st.integers(0, n), label="r")
+    length = data.draw(st.integers(r, n), label="length")
+    rows = list(constrained_coefficients(n, r, s, cap=PROPERTY_CAP, length=length))
+    expected = list(enumerate_constrained(n, r, s, cap=PROPERTY_CAP, length=length))
+    assert [lam for lam, _c in rows] == expected
+    assert [c for _lam, c in rows] == [c_coeff(lam, r, s) for lam in expected]
+
+
+@settings(max_examples=40, deadline=None)
+@given(ORDERS, SHIFTS, st.booleans(), st.randoms(use_true_random=False))
+def test_recurrence_in_any_query_order_equals_the_closed_form(n, s, descending, rng):
+    # a query below the lowest r of a stored entry recomputes that entry
+    queries = [(r, lam) for r, lam, _c in coefficient_table(n, s, cap=PROPERTY_CAP)]
+    if descending:
+        queries.reverse()
+    else:
+        rng.shuffle(queries)
+    evaluator = RecurrenceEvaluator(s)
+    for r, lam in queries:
+        assert evaluator.value(lam, r) == c_coeff(lam, r, s), (r, lam)
+
+
+def _table_evaluator(monkeypatch, n, s):
+    """The evaluator a verified coefficient_table(n, s) shares across its entries."""
+    made = []
+
+    class Recording(RecurrenceEvaluator):
+        def __init__(self, s):
+            super().__init__(s)
+            made.append(self)
+
+    monkeypatch.setattr(coefficients, "RecurrenceEvaluator", Recording)
+    coefficient_table(n, s, verify=True)
+    (evaluator,) = made
+    return evaluator
+
+
+@pytest.mark.parametrize(
+    "n, s, bound",
+    [
+        # sum over w <= 22 of p(w): one entry per partition the walk can reach
+        (22, 0, 4508),
+        # the (parts, r) states the memo held when it was keyed on both
+        (10, 4, 1182),
+    ],
+)
+def test_recurrence_memo_holds_one_entry_per_partition(monkeypatch, n, s, bound):
+    evaluator = _table_evaluator(monkeypatch, n, s)
+    assert len(evaluator._memo) <= bound
