@@ -157,11 +157,14 @@ def _cmd_partitions(args) -> int:
     )
 
 
-def _emit_polynomial(poly, header: dict, what: str, args) -> int:
-    # expansions and Bell polynomials have no csv form
+def _refuses_csv(what: str, args) -> bool:
+    # expansions and Bell polynomials have no csv form; refused on the flags, before any work
     if args.format == "csv":
         print(f"csv output is not defined for {what}", file=sys.stderr)
-        return 2
+    return args.format == "csv"
+
+
+def _emit_polynomial(poly, header: dict, args) -> int:
     if args.format == "json":
         text = _json_text({**header, "terms": poly.to_json_list()})
     else:
@@ -186,6 +189,8 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    if _refuses_csv("expansions", args):
+        return 2
     expansion = formula_expansion(args.n, args.s, cap=args.cap)
     if args.verify:
         oracle = nth_derivative_expansion(args.n, args.s, cap=args.cap)
@@ -198,13 +203,15 @@ def _cmd_expand(args) -> int:
                 args.out,
             )
             return 1
-    return _emit_polynomial(expansion, {"n": args.n, "s": args.s}, "expansions", args)
+    return _emit_polynomial(expansion, {"n": args.n, "s": args.s}, args)
 
 
 def _cmd_bell(args) -> int:
+    if _refuses_csv("Bell polynomials", args):
+        return 2
     poly = modified_partial_bell(args.n, args.k, args.r, args.s, cap=args.cap)
     header = {"n": args.n, "k": args.k, "r": args.r, "s": args.s}
-    return _emit_polynomial(poly, header, "Bell polynomials", args)
+    return _emit_polynomial(poly, header, args)
 
 
 def _cmd_stirling(args) -> int:

@@ -333,6 +333,33 @@ def test_polynomial_csv_is_refused(argv, message, capsys):
     assert captured.err == message
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["expand", "--n", "2", "--s", "1", "--verify"], "csv output is not defined for expansions\n"),
+        (["bell", "--n", "64", "--k", "16"], "csv output is not defined for Bell polynomials\n"),
+        # over the cap as well: the refusal on the flags comes first
+        (["expand", "--n", "70"], "csv output is not defined for expansions\n"),
+    ],
+)
+def test_polynomial_csv_is_refused_before_any_work(argv, message, monkeypatch, capsys):
+    import faadibruno.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a refused format must not build a polynomial")
+
+    for builder in ("formula_expansion", "nth_derivative_expansion", "modified_partial_bell"):
+        monkeypatch.setattr(cli, builder, never)
+    assert main([*argv, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message)
+
+
+def test_over_cap_csv_expansion_stderr_is_pinned():
+    proc = run_cli("expand", "--n", "70", "--format", "csv", expect=2)
+    assert (proc.stdout, proc.stderr) == ("", "csv output is not defined for expansions\n")
+
+
 def run_main(argv):
     """(exit code, stdout bytes, stderr text) of one in-process run; argparse exits count."""
     out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
