@@ -93,39 +93,32 @@ def constrained_coefficients(
     Integrality is asserted as in :func:`c_coeff`, which stays the
     independent per-entry form.
     """
-    if n < 0 or r < 0 or s < 0:
-        raise ValueError("n, r, s must be non-negative")
-    top = _fact(n)
-    weight = n + r * s
-    facts = [_fact(i) for i in range(weight + 1)]
-    falling = [perm(i, s) for i in range(weight + 1)]
 
     def push(state, i, m):
         # e holds degrees 0..min(parts above s so far, r); higher ones are 0
         e, den = state
         if i > s:
-            x = falling[i]
+            x = perm(i, s)
             grown = [a + x * b for a, b in zip(e[1:], e)]
             if len(e) <= r:
                 grown.append(x * e[-1])
             e = (1, *grown)
-        return e, den * facts[i] * m
+        return e, den * _fact(i) * m
 
     def close(state, ones):
         e, den = state
         e_r = e[r] if r < len(e) else 0
         if ones:
-            den *= facts[ones]
+            den *= _fact(ones)
             if s == 0:
                 low = max(r - len(e) + 1, 0)
                 e_r = sum(comb(ones, j) * e[r - j] for j in range(low, min(ones, r) + 1))
-        q, rem = divmod(top * e_r, den)
+        q, rem = divmod(_fact(n) * e_r, den)
         if rem:
             raise IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
         return q
 
-    start = ((1,), 1)
-    return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(start, push, close))
+    return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(((1,), 1), push, close))
 
 
 class RecurrenceEvaluator:

@@ -259,12 +259,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Part
 
 
 def enumerate_constrained(
-    n: int,
-    r: int,
-    s: int,
-    cap: int = DEFAULT_WEIGHT_CAP,
-    length: int | None = None,
-    fold: tuple | None = None,
+    n: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP, length: int | None = None, fold=None
 ) -> Iterator:
     """Partitions of n + r*s having at least r parts greater than s.
 
@@ -275,12 +270,11 @@ def enumerate_constrained(
     all partitions of n + r*s.
 
     With *fold* = (start, push, close), each item is a pair (partition,
-    value) and the value is folded part by part along the walk: placing a
-    part p whose multiplicity becomes m maps the state of the parts before
-    it to push(state, p, m), from start for the first part, and the value
-    is close(state, ones), where ones is the number of trailing 1s, which
-    are never pushed.  A state is shared by every partition that starts
-    with the same parts, so a push costs once per prefix, not per partition.
+    value), folded along the walk: placing a part p whose multiplicity
+    becomes m maps the state before it (start for the first part) to
+    push(state, p, m), and the value is close(state, ones), with ones the
+    number of trailing 1s, which are never pushed.  Partitions sharing a
+    prefix share its states, so a push costs once per prefix.
     """
     if n < 0 or r < 0 or s < 0:
         raise ValueError("n, r, s must be non-negative")

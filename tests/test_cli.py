@@ -336,7 +336,10 @@ def test_polynomial_csv_is_refused(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["expand", "--n", "2", "--s", "1", "--verify"], "csv output is not defined for expansions\n"),
+        (
+            ["expand", "--n", "2", "--s", "1", "--verify"],
+            "csv output is not defined for expansions\n",
+        ),
         (["bell", "--n", "64", "--k", "16"], "csv output is not defined for Bell polynomials\n"),
         # over the cap as well: the refusal on the flags comes first
         (["expand", "--n", "70"], "csv output is not defined for expansions\n"),

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import sys
 from math import comb, factorial
 
@@ -100,6 +102,20 @@ def test_recurrence_memo_is_order_independent():
     assert got[::-1] == expected
 
 
+def test_recurrence_reads_neither_symfunc_nor_the_closed_form():
+    import faadibruno.symfunc as symfunc
+
+    tree = ast.parse(inspect.getsource(RecurrenceEvaluator))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    symfunc_names = {
+        name
+        for name, obj in vars(symfunc).items()
+        if getattr(obj, "__module__", None) == symfunc.__name__
+    }
+    closed_form = {"c_coeff", "constrained_coefficients", "coefficient_table", "_denominator"}
+    assert not read & (symfunc_names | closed_form | {"symfunc", "elementary_moments"})
+
+
 def test_recurrence_r0_slice():
     # the single-sum recurrence already reproduces the classical coefficient
     evaluators = {s: RecurrenceEvaluator(s) for s in range(3)}
@@ -189,6 +205,11 @@ def test_table_index_set():
 def test_table_cap():
     with pytest.raises(CapExceeded):
         coefficient_table(40, 4)
+    # refused before a factorial table up to the weight is built
+    with pytest.raises(CapExceeded):
+        constrained_coefficients(10**9, 1, 0)
+    with pytest.raises(ValueError):
+        constrained_coefficients(3, -1, 0)
 
 
 def test_table_serialization():
