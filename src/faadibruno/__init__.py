@@ -24,7 +24,6 @@ from .coefficients import (
     IntegralityError,
     RecurrenceEvaluator,
     c_coeff,
-    c_coeff_by_recurrence,
     coefficient_table,
     faa_di_bruno_coeff,
 )
@@ -53,7 +52,6 @@ from .polynomials import (
     run_random_checks,
 )
 from .symfunc import (
-    ElementaryVector,
     elementary_by_subpartitions,
     elementary_moments,
     newton_residuals,

@@ -150,11 +150,18 @@ def modified_partial_bell(
 
 
 def modified_complete_bell(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
-    total = YPolynomial.zero()
-    for r in range(n + 1):
-        for k in range(r, n + 1):
-            total = total + modified_partial_bell(n, k, r, s, cap=cap)
-    return total
+    """Sum of modified_partial_bell(n, k, r, s) over 0 <= r <= k <= n, one walk per r
+    (no summed partition has more than n parts); refuses n + n*s > cap before any walk.
+    """
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    if n >= 0:
+        CapExceeded.check(n + n * s, cap, "modified_complete_bell")
+    return YPolynomial(
+        (lam.items(), c)
+        for r in range(n + 1)
+        for lam, c in constrained_coefficients(n, r, s, cap=cap)
+    )
 
 
 def product_form_partial(

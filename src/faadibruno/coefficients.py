@@ -191,9 +191,7 @@ class RecurrenceEvaluator:
         if r < 0:
             raise ValueError("r must be non-negative")
         parts = lam.parts
-        k = len(parts)
-        while k and parts[k - 1] <= self.s:
-            k -= 1
+        k = lam.length_above(self.s)
         if r > k:
             return 0
         entry = self._memo.get(parts)
@@ -230,15 +228,6 @@ class RecurrenceEvaluator:
             else:
                 memo[frame[0]] = (lo, acc)
                 stack.pop()
-
-
-def c_coeff_by_recurrence(lam: Partition, r: int, s: int) -> int:
-    """C(lam, r, s) by the modification recurrence alone (no elementary moments)."""
-    if r < 0 or s < 0:
-        raise ValueError("r and s must be non-negative")
-    if lam.weight - r * s < 0:
-        raise ValueError(f"weight {lam.weight} is smaller than r*s = {r * s}")
-    return RecurrenceEvaluator(s).value(lam, r)
 
 
 def coefficient_table(

@@ -33,7 +33,7 @@ class CapExceeded(ValueError):
 class Partition:
     """An integer partition, stored once as its descending parts tuple."""
 
-    __slots__ = ("_parts", "_items", "_weight")
+    __slots__ = ("_parts", "_items")
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         parts = tuple(parts)
@@ -51,14 +51,13 @@ class Partition:
         p = object.__new__(cls)
         p._parts = parts
         p._items = tuple(Counter(reversed(parts)).items()) if items is None else items
-        p._weight = sum(parts)
         return p
 
     # -- basic parameters ---------------------------------------------------
 
     @property
     def weight(self) -> int:
-        return self._weight
+        return sum(self._parts)
 
     @property
     def length(self) -> int:
@@ -226,7 +225,8 @@ def _descending(total: int, r: int, s: int, length: int | None, fold=None) -> It
                 above += 1
             if folding:
                 states.append(push(states[-1], part, mults[part]))
-        lam = Partition._make(tuple(parts) + (1,) * ones, tuple(sorted(mults.items())))
+        # a part enters mults only below every key present, so its keys descend
+        lam = Partition._make(tuple(parts) + (1,) * ones, tuple(reversed(mults.items())))
         yield (lam, close(states[-1], ones)) if folding else lam
         if ones:
             del mults[1]

@@ -15,8 +15,6 @@ from typing import Iterable, Union
 from .diffalg import DiffPolynomial, formula_expansion
 from .partitions import DEFAULT_WEIGHT_CAP
 
-Coeffs = Iterable[Union[Fraction, int, str]]
-
 
 class RationalPolynomial:
     """Univariate polynomial with exact rational coefficients (index = degree).
@@ -29,7 +27,7 @@ class RationalPolynomial:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Coeffs = ()):
+    def __init__(self, coeffs: Iterable[Union[Fraction, int, str]] = ()):
         cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         canon = self._make([c.numerator * (den // c.denominator) for c in cs], den)

@@ -11,11 +11,8 @@ from math import comb, perm
 
 from .partitions import Partition
 
-# index r -> e_r of the source multiset; e_0 == 1, e_r == 0 past the cardinality
-ElementaryVector = tuple[int, ...]
 
-
-def elementary_moments(b: tuple[int, ...], r_max: int) -> ElementaryVector:
+def elementary_moments(b: tuple[int, ...], r_max: int) -> tuple[int, ...]:
     """Coefficients of prod_l (1 + b_l X) up to degree r_max.
 
     One multiplication pass per element, so the cost is O(len(b) * r_max).
@@ -58,7 +55,7 @@ def newton_residuals(b: tuple[int, ...], r_max: int) -> tuple[int, ...]:
     return tuple(residuals)
 
 
-def subtract_transform(e: ElementaryVector, l_value: int, c: int) -> ElementaryVector:
+def subtract_transform(e: tuple[int, ...], l_value: int, c: int) -> tuple[int, ...]:
     """Vector of a multiset b after one element l_value becomes l_value - c.
 
     e is elementary_moments(b, r_max); the result, of the same length, comes

@@ -1,5 +1,6 @@
 """The public names of the `faadibruno` package, pinned so that any change is deliberate,
-and the rule that no layer module reads another layer's private names."""
+the rule that each of them is used somewhere inside the package, and the rule that no
+layer module reads another layer's private names."""
 
 import ast
 import types
@@ -13,14 +14,12 @@ PUBLIC_NAMES = {
     "DEFAULT_WEIGHT_CAP",
     "DiffMonomial",
     "DiffPolynomial",
-    "ElementaryVector",
     "IntegralityError",
     "Partition",
     "RationalPolynomial",
     "RecurrenceEvaluator",
     "YPolynomial",
     "c_coeff",
-    "c_coeff_by_recurrence",
     "check_main_theorem",
     "coefficient_table",
     "complete_bell",
@@ -62,6 +61,63 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(obj, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+def _defines(statement, name):
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return statement.name == name
+    if isinstance(statement, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == name for t in statement.targets)
+    return False
+
+
+def references(tree, name):
+    """Reads of *name*, bare or as an attribute, outside its own module-level definition.
+
+    Strings, docstrings included, are never names, so a mention in prose does not count.
+    """
+    own = {id(node) for st in tree.body if _defines(st, name) for node in ast.walk(st)}
+    return sum(
+        1
+        for node in ast.walk(tree)
+        if id(node) not in own
+        and isinstance(getattr(node, "ctx", None), ast.Load)
+        and (getattr(node, "id", None) == name or getattr(node, "attr", None) == name)
+    )
+
+
+def test_reference_counter_skips_the_definition_and_docstrings():
+    tree = ast.parse(
+        "def wrapper(x):\n"
+        '    """wrapper(x) calls inner."""\n'
+        "    return wrapper(inner(x))\n"
+        "def inner(x):\n"
+        "    return x\n"
+        "inner = mod.inner\n"
+        'used = mod.inner, "wrapper"\n'
+    )
+    assert references(tree, "wrapper") == 0
+    assert references(tree, "inner") == 2
+
+
+def test_every_public_name_is_used_inside_the_package():
+    # an export nothing in the package reads is an uncalled wrapper; an alias
+    # such as run_verification is looked up under the name it is defined by
+    package = Path(faadibruno.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    defined_as = {
+        alias.asname or alias.name: alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    trees = [ast.parse(p.read_text()) for p in package.glob("*.py") if p.name != "__init__.py"]
+    unused = [
+        name
+        for name in sorted(PUBLIC_NAMES)
+        if not any(references(tree, defined_as[name]) for tree in trees)
+    ]
+    assert unused == []
 
 
 # the modules bench/tracer.py wraps by public name; `sparse` is shared machinery, not a layer

@@ -87,6 +87,33 @@ def test_modified_complete_bell_examples():
     )
 
 
+def test_modified_complete_bell_walks_once_per_r_and_refuses_before_any_walk(monkeypatch):
+    walks = []
+    walk = bell.constrained_coefficients
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(bell, "constrained_coefficients", counted)
+    for n in range(9):
+        for s in range(4):
+            partials = YPolynomial.zero()
+            for r in range(n + 1):
+                for k in range(r, n + 1):
+                    partials = partials + modified_partial_bell(n, k, r, s)
+            walks.clear()
+            assert modified_complete_bell(n, s) == partials
+            assert len(walks) == n + 1, (n, s)
+            if n:
+                walks.clear()
+                with pytest.raises(CapExceeded):
+                    modified_complete_bell(n, s, cap=n + n * s - 1)
+                assert walks == []
+    with pytest.raises(ValueError):
+        modified_complete_bell(2, -1)
+
+
 def test_product_form_examples():
     assert product_form_partial(2, 2, 1, 0) == ypoly((((1, 2),), 2))
     assert product_form_partial(1, 1, 1, 1) == YPolynomial.variable(2)

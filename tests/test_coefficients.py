@@ -12,7 +12,6 @@ from faadibruno.coefficients import (
     CrossCheckError,
     RecurrenceEvaluator,
     c_coeff,
-    c_coeff_by_recurrence,
     coefficient_table,
     constrained_coefficients,
     faa_di_bruno_coeff,
@@ -60,9 +59,9 @@ def test_c_coeff_vanishing_and_preconditions():
 
 
 def test_recurrence_hand_values():
-    assert c_coeff_by_recurrence(Partition([1]), 0, 0) == 1
-    assert c_coeff_by_recurrence(Partition([2, 1]), 1, 1) == 2
-    assert c_coeff_by_recurrence(Partition([1, 1]), 1, 0) == 2
+    assert RecurrenceEvaluator(0).value(Partition([1]), 0) == 1
+    assert RecurrenceEvaluator(1).value(Partition([2, 1]), 1) == 2
+    assert RecurrenceEvaluator(0).value(Partition([1, 1]), 1) == 2
 
 
 def test_recurrence_matches_closed_form():
@@ -80,7 +79,7 @@ def test_recurrence_deep_decrement_chain():
     # removal of the part s + 1 = 41; a recursive walk overflows the stack
     lam = Partition([1241])
     assert 1241 - 40 > sys.getrecursionlimit()
-    assert c_coeff_by_recurrence(lam, 1, 40) == c_coeff(lam, 1, 40)
+    assert RecurrenceEvaluator(40).value(lam, 1) == c_coeff(lam, 1, 40)
 
 
 def test_recurrence_zero_states():

@@ -3,6 +3,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from faadibruno.bell import (
+    complete_bell,
+    modified_complete_bell,
     modified_stirling,
     partial_bell,
     product_form_complete,
@@ -117,6 +119,8 @@ def test_enumeration_cap():
         (lambda cap: coefficient_table(2, 1, cap=cap), 4),
         (lambda cap: stirling_table(4, cap=cap), 4),
         (lambda cap: partial_bell(5, 2, cap=cap), 5),
+        (lambda cap: complete_bell(5, cap=cap), 5),
+        (lambda cap: modified_complete_bell(2, 1, cap=cap), 4),
         (lambda cap: modified_stirling(5, 2, 1, cap=cap), 5),
         (lambda cap: product_form_partial(3, 2, 1, 1, cap=cap), 4),
         (lambda cap: product_form_complete(2, 1, cap=cap), 4),
@@ -131,6 +135,8 @@ def test_enumeration_cap():
         "coefficient_table",
         "stirling_table",
         "partial_bell",
+        "complete_bell",
+        "modified_complete_bell",
         "modified_stirling",
         "product_form_partial",
         "product_form_complete",
