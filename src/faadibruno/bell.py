@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from functools import lru_cache, wraps
 from math import comb, factorial
+from typing import Iterator
 
-from .coefficients import constrained_coefficients, faa_di_bruno_coeff
+from .coefficients import coefficient_table, constrained_coefficients, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_constrained
 from .sparse import ExponentMap as Exps
 from .sparse import SparsePolynomial, _accumulate, _merge
@@ -53,17 +54,10 @@ class YPolynomial(SparsePolynomial):
         return (term_weighted_degree(exps), exps)
 
     @classmethod
-    def one(cls) -> "YPolynomial":
-        return cls({(): 1})
-
-    @classmethod
     def variable(cls, index: int, exponent: int = 1) -> "YPolynomial":
         if index < 1 or exponent < 1:
             raise ValueError("need index >= 1 and exponent >= 1")
         return cls({((index, exponent),): 1})
-
-    def coefficient(self, exps: Exps) -> int:
-        return super().coefficient(tuple(sorted(exps)))
 
     def shift_vars(self, s: int) -> "YPolynomial":
         """Substitute y_i -> y_{i+s} in every term."""
@@ -150,18 +144,15 @@ def modified_partial_bell(
 
 
 def modified_complete_bell(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
-    """Sum of modified_partial_bell(n, k, r, s) over 0 <= r <= k <= n, one walk per r
-    (no summed partition has more than n parts); refuses n + n*s > cap before any walk.
+    """Sum of modified_partial_bell(n, k, r, s) over 0 <= r <= k <= n: the coefficient
+    table (n, s) read as a polynomial, since no summed partition has more than n
+    parts.  The table refuses n + n*s > cap before any walk.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
-    if n >= 0:
-        CapExceeded.check(n + n * s, cap, "modified_complete_bell")
-    return YPolynomial(
-        (lam.items(), c)
-        for r in range(n + 1)
-        for lam, c in constrained_coefficients(n, r, s, cap=cap)
-    )
+    if n < 0:
+        return YPolynomial.zero()
+    return YPolynomial((lam.items(), c) for _r, lam, c in coefficient_table(n, s, cap=cap))
 
 
 def product_form_partial(
@@ -252,14 +243,15 @@ def touchard(n: int) -> tuple[int, ...]:
 
 def stirling_table(
     n_max: int, cap: int = DEFAULT_WEIGHT_CAP
-) -> tuple[tuple[int, int, int, int], ...]:
+) -> Iterator[tuple[int, int, int, int]]:
     """(n, k, r, modified_stirling(n, k, r)) for all 0 <= r <= k <= n <= n_max,
-    ordered by n, then k, then r.
+    ordered by n, then k, then r; n_max is checked at the call, and the rows are
+    produced as they are read.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     CapExceeded.check(n_max, cap, f"table (n_max={n_max})")
-    return tuple(
+    return (
         (n, k, r, modified_stirling(n, k, r, cap=cap))
         for n in range(n_max + 1)
         for k in range(n + 1)

@@ -232,28 +232,30 @@ class RecurrenceEvaluator:
 
 def coefficient_table(
     n: int, s: int, verify: bool = False, cap: int = DEFAULT_WEIGHT_CAP
-) -> tuple[tuple[int, Partition, int], ...]:
-    """All coefficients for derivative order n and shift s, as (r, lam, C(lam, r, s)).
+) -> Iterator[tuple[int, Partition, int]]:
+    """All coefficients for derivative order n and shift s, streamed as (r, lam, C(lam, r, s)).
 
     The entries cover exactly the pairs (r, lam) with 0 <= r <= n, lam a
     partition of n + r*s, and at least r parts of lam greater than s; they
-    are ordered by ascending r, then the partition enumeration order.  In
-    verify mode each closed-form value is recomputed through the
-    recurrence (one shared evaluator) and any disagreement raises
-    :class:`CrossCheckError`.
+    are ordered by ascending r, then the partition enumeration order.  The
+    arguments and the cap are checked at the call.  In verify mode each
+    closed-form value is recomputed through the recurrence (one shared
+    evaluator) as it is read, and a disagreement raises :class:`CrossCheckError`.
     """
     if n < 0 or s < 0:
         raise ValueError("n and s must be non-negative")
     CapExceeded.check(n + n * s, cap, f"table (n={n}, s={s})")
-    evaluator = RecurrenceEvaluator(s) if verify else None
-    entries: list[tuple[int, Partition, int]] = []
-    for r in range(n + 1):
-        for lam, c in constrained_coefficients(n, r, s, cap=cap):
-            if evaluator is not None:
-                again = evaluator.value(lam, r)
-                if again != c:
-                    raise CrossCheckError(
-                        f"C({lam!r}, r={r}, s={s}): closed form {c} != recurrence {again}"
-                    )
-            entries.append((r, lam, c))
-    return tuple(entries)
+    entries = (
+        (r, lam, c) for r in range(n + 1) for lam, c in constrained_coefficients(n, r, s, cap=cap)
+    )
+    return _cross_checked(entries, s) if verify else entries
+
+
+def _cross_checked(entries, s: int) -> Iterator[tuple[int, Partition, int]]:
+    evaluator = RecurrenceEvaluator(s)
+    for r, lam, c in entries:
+        if (again := evaluator.value(lam, r)) != c:
+            raise CrossCheckError(
+                f"C({lam!r}, r={r}, s={s}): closed form {c} != recurrence {again}"
+            )
+        yield r, lam, c

@@ -24,7 +24,7 @@ from itertools import product
 from math import comb, prod
 from typing import Iterable, NamedTuple, Union
 
-from .coefficients import constrained_coefficients, faa_di_bruno_coeff
+from .coefficients import coefficient_table, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_partitions
 from .sparse import ExponentMap, SparsePolynomial, _canon, _merge
 
@@ -205,13 +205,10 @@ def nth_derivative_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> D
 
 def formula_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
     """The closed-formula expansion: sum of C(lam, r, s) F_{len-r} G_r prod Y_i^m_i."""
-    if n < 0 or s < 0:
-        raise ValueError("n and s must be non-negative")
     CapExceeded.check(n * (1 + s), cap, f"formula expansion (n={n}, s={s})")
     return DiffPolynomial(
         (DiffMonomial(lam.length - r, r, lam.items(), ()), c)
-        for r in range(n + 1)
-        for lam, c in constrained_coefficients(n, r, s, cap=cap)
+        for r, lam, c in coefficient_table(n, s, cap=cap)
     )
 
 

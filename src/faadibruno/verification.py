@@ -309,9 +309,9 @@ def _check_integrality(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n in range(max_n + 1):
             try:
-                table = coefficient_table(n, s, cap=cap)
+                # built whole: a table that cannot be built is one failing instance
+                table = tuple(coefficient_table(n, s, cap=cap))
             except IntegralityError as exc:
-                # a table that cannot be built is one failing instance
                 yield {"n": n, "s": s, "error": str(exc)}
                 continue
             for r, lam, c in table:

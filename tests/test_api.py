@@ -63,6 +63,15 @@ def test_public_names_are_pinned():
     assert exported == PUBLIC_NAMES
 
 
+def test_tables_are_streams_and_the_removed_methods_stay_removed():
+    # coefficient_table and stirling_table returned tuples before; now each is read once
+    for table in (faadibruno.coefficient_table(2, 1), faadibruno.stirling_table(2)):
+        assert iter(table) is table
+    # the unit is YPolynomial({(): 1}); a coefficient is looked up under its sorted key
+    assert not hasattr(faadibruno.YPolynomial, "one")
+    assert "coefficient" not in vars(faadibruno.YPolynomial)
+
+
 def _defines(statement, name):
     if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
         return statement.name == name

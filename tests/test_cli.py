@@ -382,6 +382,40 @@ def assert_out_file_holds(argv, stdout):
         assert target.read_bytes() == stdout
 
 
+def test_verified_coeff_mismatch_leaves_the_rows_already_checked(monkeypatch):
+    import faadibruno.coefficients as coefficients
+
+    argv = ["coeff", "--n", "3", "--s", "1", "--verify", "--format", "csv"]
+    code, clean, _stderr = run_main(argv)
+    assert code == 0
+    real = coefficients.constrained_coefficients
+
+    def off_by_one(n, r, s, cap):
+        return ((lam, c + (r == 1)) for lam, c in real(n, r, s, cap=cap))
+
+    monkeypatch.setattr(coefficients, "constrained_coefficients", off_by_one)
+    code, stdout, stderr = run_main(argv)
+    assert code == 1
+    assert stderr.startswith("verification failure: ") and stderr.count("\n") == 1
+    # the rows stream out as they are checked: every r = 0 row, then the failure
+    checked = [row for row in clean.splitlines(keepends=True) if row.startswith(b"0,")]
+    assert len(checked) == 3
+    assert stdout == b"".join(checked)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex", "pretty"])
+@pytest.mark.parametrize(
+    "argv", [["coeff", "--n", "40", "--s", "4"], ["stirling", "--n-max", "65"]]
+)
+def test_over_cap_table_writes_no_byte_and_no_out_file(argv, fmt, tmp_path):
+    target = tmp_path / "table"
+    for out in ([], ["--out", str(target)]):
+        code, stdout, stderr = run_main([*argv, "--format", fmt, *out])
+        assert (code, stdout) == (2, b"")
+        assert stderr.startswith("error: table (n") and stderr.count("\n") == 1
+    assert not target.exists()
+
+
 FORMAT_FLAGS = st.sampled_from(["json", "csv", "latex", "pretty"])
 TABLE_ARGV = st.one_of(
     st.builds(lambda n: ["partitions", "--n", str(n)], st.integers(0, 15)),

@@ -173,7 +173,8 @@ def test_table_examples_and_ordering():
         (1, (2,), 1),
     ]
 
-    table = coefficient_table(2, 1, verify=True)
+    # read twice below, so built whole
+    table = tuple(coefficient_table(2, 1, verify=True))
     entries = {(r, lam.parts): c for r, lam, c in table}
     assert entries == {
         (0, (1, 1)): 1,
@@ -213,14 +214,35 @@ def test_table_cap():
 
 def test_table_serialization():
     # the entries behind the csv and json forms; their bytes are pinned in test_cli.py
-    table = coefficient_table(1, 1)
+    table = tuple(coefficient_table(1, 1))
     assert [(r, lam.parts, c) for r, lam, c in table] == [(0, (1,), 1), (1, (2,), 1)]
     assert all(isinstance(lam, Partition) for _r, lam, _c in table)
     assert [(r, lam.parts, c) for r, lam, c in coefficient_table(0, 3)] == [(0, (), 1)]
 
 
 def test_verify_mode_runs_clean():
-    coefficient_table(5, 2, verify=True)
+    tuple(coefficient_table(5, 2, verify=True))
+
+
+def test_table_is_a_stream_checked_at_the_call(monkeypatch):
+    real = coefficients.constrained_coefficients
+    walks = []
+
+    def counted(n, r, s, cap):
+        walks.append(r)
+        return real(n, r, s, cap=cap)
+
+    monkeypatch.setattr(coefficients, "constrained_coefficients", counted)
+    table = coefficient_table(6, 2)
+    assert walks == []
+    assert next(table)[0] == 0
+    assert walks == [0]
+    # the arguments and the cap are refused at the call, before anything is read
+    with pytest.raises(CapExceeded, match=r"^table \(n=40, s=4\) reaches weight 200 > cap 64$"):
+        coefficient_table(40, 4, verify=True)
+    with pytest.raises(ValueError, match="^n and s must be non-negative$"):
+        coefficient_table(-1, 0)
+    assert walks == [0]
 
 
 def test_verify_mode_detects_disagreement(monkeypatch):
@@ -231,7 +253,7 @@ def test_verify_mode_detects_disagreement(monkeypatch):
 
     monkeypatch.setattr(coefficients, "constrained_coefficients", wrong)
     with pytest.raises(CrossCheckError):
-        coefficient_table(2, 1, verify=True)
+        tuple(coefficient_table(2, 1, verify=True))
 
 
 # n <= 14 and s <= 4 reach weight 14 + 14 * 4 = 70, past the default cap
@@ -282,7 +304,7 @@ def _table_evaluator(monkeypatch, n, s):
             made.append(self)
 
     monkeypatch.setattr(coefficients, "RecurrenceEvaluator", Recording)
-    coefficient_table(n, s, verify=True)
+    tuple(coefficient_table(n, s, verify=True))
     (evaluator,) = made
     return evaluator
 

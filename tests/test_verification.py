@@ -2,7 +2,7 @@
 
 import pytest
 
-from faadibruno import bell, symfunc, verification
+from faadibruno import bell, coefficients, symfunc, verification
 from faadibruno.coefficients import IntegralityError, coefficient_table
 from faadibruno.partitions import DEFAULT_WEIGHT_CAP
 
@@ -35,7 +35,7 @@ def test_unbuildable_table_is_one_failing_instance(monkeypatch):
     for max_n in (0, 3):
         report = verification.run_all(max_n=max_n, max_s=0)
         (result,) = report["identities"]
-        others = sum(len(coefficient_table(n, 0)) for n in range(1, max_n + 1))
+        others = sum(len(tuple(coefficient_table(n, 0))) for n in range(1, max_n + 1))
         assert result["instances"] == others + 1
         assert result["failures"] == 1
         assert result["failures"] <= result["instances"]
@@ -47,11 +47,33 @@ def test_unbuildable_table_is_one_failing_instance(monkeypatch):
         assert result["passed"] is False and report["passed"] is False
 
 
+def test_table_failing_after_its_first_rows_is_one_failing_instance(monkeypatch):
+    # the r = 0 rows of a table are out before r = 1 fails; none of them is counted
+    real = coefficients.constrained_coefficients
+
+    def failing(n, r, s, cap):
+        if r == 1:
+            raise IntegralityError(f"C(r=1, s={s}) is not an integer at n={n}")
+        return real(n, r, s, cap=cap)
+
+    monkeypatch.setattr(coefficients, "constrained_coefficients", failing)
+    only_suite(monkeypatch, "coefficient_integrality")
+    (result,) = verification.run_all(max_n=3, max_s=1)["identities"]
+    # n = 0 has only its r = 0 row, at each s; every n >= 1 reaches r = 1
+    assert (result["instances"], result["failures"]) == (2 + 2 * 3, 2 * 3)
+    assert result["counterexample"] == {
+        "n": 1,
+        "s": 0,
+        "error": "C(r=1, s=0) is not an integer at n=1",
+    }
+    assert result["passed"] is False
+
+
 def test_passing_integrality_report_counts_every_entry(monkeypatch):
     only_suite(monkeypatch, "coefficient_integrality")
     (result,) = verification.run_all(max_n=4, max_s=2)["identities"]
     entries = sum(
-        len(coefficient_table(n, s)) for s in range(3) for n in range(5)
+        len(tuple(coefficient_table(n, s))) for s in range(3) for n in range(5)
     )
     assert (result["instances"], result["failures"]) == (entries, 0)
     assert result["passed"] is True and result["counterexample"] is None
