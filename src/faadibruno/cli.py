@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 from . import verification
 from .bell import modified_partial_bell, stirling_table
@@ -116,43 +116,100 @@ def _emit(text: str, out: str | None) -> None:
     _write((text,), out)
 
 
-def _json_text(data) -> str:
-    return json.dumps(data, indent=2, ensure_ascii=False)
+# json.dumps(data, indent=2, ensure_ascii=False), with one encoder for every call
+_JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
+_json_text = _JSON.encode
+_JSON_BATCH = 1024  # items rendered by one encoder call
+
+
+def _json_rows(frame, items) -> Iterator[str]:
+    """The text of _json_text(frame(list(items))) + newline, written a batch of items at a time.
+
+    frame is a top-level object whose values are numbers and the item list,
+    so the list sits one level deep.  A batch is rendered as a list of its
+    own, one level shallower: its brackets are dropped and every line break
+    gains one indent.
+    """
+    hole = "<rows>"
+    head, _, foot = _json_text(frame(hole)).partition(_json_text(hole))
+    yield head
+    items = iter(items)
+    opening, close = "[", "[]"
+    while batch := list(islice(items, _JSON_BATCH)):
+        # "[\n  A,\n  B\n]" -> "\n  A,\n  B" -> "\n    A,\n    B", nested lines alike
+        yield opening + _json_text(batch)[1:-2].replace("\n", "\n  ")
+        opening, close = ",", "\n  ]"
+    yield f"{close}{foot}\n"
 
 
 def _emit_rows(rows, args, *, frame, item, csv, pretty, latex, tabular, title=()) -> int:
     """Write a table or listing in args.format: the one writer for every table.
 
-    json is one document, frame(list of item(row)).  csv, pretty and latex
-    write one line per row, each the row's template call, newline included:
-    pretty after the fixed head lines *title*, latex between the fixed head
-    lines *tabular* (the tabular opening and any column-header row) and the
-    tabular close.
+    Every format is streamed row by row, so memory stays flat however many
+    rows there are.  json writes the bytes of one document,
+    frame(list of item(row)), as json.dumps with indent 2 would.  csv,
+    pretty and latex write one line per row, each the row's template call,
+    newline included: pretty after the fixed head lines *title*, latex
+    between the fixed head lines *tabular* (the tabular opening and any
+    column-header row) and the tabular close.
     """
     if args.format == "json":
-        _emit(_json_text(frame([item(row) for row in rows])), args.out)
+        _write(_json_rows(frame, map(item, rows)), args.out)
         return 0
     head, line, foot = {
         "csv": ((), csv, ()),
         "pretty": (title, pretty, ()),
         "latex": (tabular, latex, (r"\end{tabular}",)),
     }[args.format]
-    # streamed line by line: memory stays flat however many rows there are
     fixed = "{}\n".format
     _write(chain(map(fixed, head), map(line, rows), map(fixed, foot)), args.out)
     return 0
 
 
+def _listing_fold(lead: str, sep: str, zero: str, end: str) -> tuple:
+    """A fold for the partition walk whose values are the listing lines.
+
+    A line is lead, the parts joined by the one-character sep (zero for the
+    empty partition), then end.  The state is the rendered prefix of the
+    parts above 1, each followed by sep, so a shared prefix is rendered
+    once; close adds the trailing 1s, whose tail is built from their count.
+    """
+    one = "1" + sep
+
+    def push(state, part, _m):
+        return f"{state}{part}{sep}"
+
+    def close(state, ones):
+        return f"{lead}{(state + one * ones)[:-1] or zero}{end}"
+
+    return "", push, close
+
+
+# format -> (lead, separator, the empty partition, end) of a listing line
+_LISTING = {
+    "csv": ("", " ", "", "\n"),
+    "pretty": ("", "+", "0", "\n"),
+    "latex": ("$", "+", "0", "$ \\\\\n"),
+}
+
+
 def _cmd_partitions(args) -> int:
-    # the json frame carries the count, so only that format is materialized
+    # text lines are rendered along the walk; json keeps Partition rows, and
+    # its frame takes the count from the DP before the first row
+    n = args.n
+    fold = _listing_fold(*_LISTING[args.format]) if args.format in _LISTING else None
     return _emit_rows(
-        enumerate_partitions(args.n, cap=args.cap),
+        enumerate_partitions(n, cap=args.cap, fold=fold),
         args,
-        frame=lambda items: {"n": args.n, "count": len(items), "partitions": items},
+        frame=lambda items: {
+            "n": n,
+            "count": verification.partition_count_dp(n)[n],
+            "partitions": items,
+        },
         item=Partition.to_json_dict,
-        csv=lambda p: " ".join(map(str, p.parts)) + "\n",
-        pretty=lambda p: ("+".join(map(str, p.parts)) or "0") + "\n",
-        latex=lambda p: f"${'+'.join(map(str, p.parts)) or '0'}$ \\\\\n",
+        csv=str,
+        pretty=str,
+        latex=str,
         tabular=(r"\begin{tabular}{l}",),
     )
 

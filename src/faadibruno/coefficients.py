@@ -82,10 +82,12 @@ def constrained_coefficients(
     """(lam, C(lam, r, s)) for each lam of enumerate_constrained(n, r, s, cap, length).
 
     Same partitions in the same order, each coefficient folded along the
-    partition walk instead of rebuilt per entry.  A state is the pair
-    (e, den): e is the elementary vector, to degree r, of the falling
-    factorials (i)_s of the placed parts i > s, and den is the running
-    prod_i (i!)^m_i m_i!.  Placing a part i whose multiplicity becomes m
+    partition walk instead of rebuilt per entry.  A state is the tuple
+    (e, den, parts, items): e is the elementary vector, to degree r, of the
+    falling factorials (i)_s of the placed parts i > s, den is the running
+    prod_i (i!)^m_i m_i!, and parts and items are the placed parts and their
+    ascending (part, multiplicity) pairs, so the leaf's partition is built
+    without recounting.  Placing a part i whose multiplicity becomes m
     multiplies den by i! * m and, when i > s, multiplies e by 1 + (i)_s X;
     both cost O(r) once per shared prefix.  The trailing run of t ones
     closes the fold at the leaf: den gains t!, and for s = 0, where each 1
@@ -96,29 +98,33 @@ def constrained_coefficients(
 
     def push(state, i, m):
         # e holds degrees 0..min(parts above s so far, r); higher ones are 0
-        e, den = state
+        e, den, parts, items = state
         if i > s:
             x = perm(i, s)
             grown = [a + x * b for a, b in zip(e[1:], e)]
             if len(e) <= r:
                 grown.append(x * e[-1])
             e = (1, *grown)
-        return e, den * _fact(i) * m
+        # i is below every placed part: it heads the items, or raises the head's count
+        items = ((i, m),) + (items[1:] if m > 1 else items)
+        return e, den * _fact(i) * m, parts + (i,), items
 
     def close(state, ones):
-        e, den = state
+        e, den, parts, items = state
         e_r = e[r] if r < len(e) else 0
         if ones:
             den *= _fact(ones)
             if s == 0:
                 low = max(r - len(e) + 1, 0)
                 e_r = sum(comb(ones, j) * e[r - j] for j in range(low, min(ones, r) + 1))
+            parts, items = parts + (1,) * ones, ((1, ones),) + items
         q, rem = divmod(_fact(n) * e_r, den)
         if rem:
             raise IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
-        return q
+        return Partition._make(parts, items), q
 
-    return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(((1,), 1), push, close))
+    start = ((1,), 1, (), ())
+    return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(start, push, close))
 
 
 class RecurrenceEvaluator:

@@ -165,7 +165,7 @@ class Partition:
         return f"Partition({list(self._parts)})"
 
 
-def _descending(total: int, r: int, s: int, length: int | None, fold=None) -> Iterator:
+def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterator:
     # Partitions of total with at least r parts greater than s (and exactly
     # `length` parts unless None), in decreasing lexicographic order of the
     # summand sequence.  A depth-first walk over the parts, largest first, kept
@@ -179,22 +179,20 @@ def _descending(total: int, r: int, s: int, length: int | None, fold=None) -> It
     # least ceil(rem / slots); without a length, drop the slot terms.  A
     # trailing run of 1s is placed in one step, which keeps the walk O(1)
     # amortized per partition.
-    # With a fold (see enumerate_constrained), its states ride on a stack
-    # beside the parts and each leaf yields (partition, close(state, ones)).
+    # The fold's states ride on a stack beside the parts (see
+    # enumerate_constrained), and each leaf yields close(state, ones) alone.
     if length is None:
         if r * (s + 1) > total:
             return
     elif r > length or r * s + length > total or (length == 0) != (total == 0):
         return
     step = s + 1
-    mults: dict[int, int] = {}
+    start, push, close = fold
     parts: list[int] = []  # the placed parts greater than 1, decreasing
+    mults: list[int] = []  # mults[k]: copies of parts[k] among parts[: k + 1]
     lows: list[int] = []  # the smallest admissible value of each placed part
+    states = [start]  # states[k] folds the first k placed parts
     rem, above, ones = total, 0, 0
-    folding = fold is not None
-    if folding:
-        start, push, close = fold
-        states = [start]  # states[k] folds the first k placed parts
     pending = 0  # after backtracking: the next value of the part just removed
     while True:
         while rem:
@@ -214,35 +212,26 @@ def _descending(total: int, r: int, s: int, length: int | None, fold=None) -> It
                 if parts and part > parts[-1]:
                     part = parts[-1]
             if part == 1:
-                ones = mults[1] = rem
-                rem = 0
+                ones, rem = rem, 0
                 break
+            m = mults[-1] + 1 if parts and parts[-1] == part else 1
             parts.append(part)
+            mults.append(m)
             lows.append(lo)
-            mults[part] = mults.get(part, 0) + 1
+            states.append(push(states[-1], part, m))
             rem -= part
             if part > s:
                 above += 1
-            if folding:
-                states.append(push(states[-1], part, mults[part]))
-        # a part enters mults only below every key present, so its keys descend
-        lam = Partition._make(tuple(parts) + (1,) * ones, tuple(reversed(mults.items())))
-        yield (lam, close(states[-1], ones)) if folding else lam
-        if ones:
-            del mults[1]
-            rem, ones = ones, 0
+        yield close(states[-1], ones)
+        rem, ones = ones, 0
         while parts:
             part = parts.pop()
             lo = lows.pop()
-            if mults[part] == 1:
-                del mults[part]
-            else:
-                mults[part] -= 1
+            mults.pop()
+            states.pop()
             rem += part
             if part > s:
                 above -= 1
-            if folding:
-                states.pop()
             if part > lo:
                 pending = part - 1
                 break
@@ -250,12 +239,34 @@ def _descending(total: int, r: int, s: int, length: int | None, fold=None) -> It
             return
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Partition]:
-    """All partitions of n, in decreasing lexicographic order of the summand sequence."""
+def _push_part(state: tuple, part: int, m: int) -> tuple:
+    # (parts, items) of the prefix: a new part is below every placed one, so
+    # it heads the ascending items, or raises the count of the one heading them
+    parts, items = state
+    return parts + (part,), ((part, m),) + (items[1:] if m > 1 else items)
+
+
+def _close_partition(state: tuple, ones: int) -> Partition:
+    parts, items = state
+    if ones:
+        parts, items = parts + (1,) * ones, ((1, ones),) + items
+    return Partition._make(parts, items)
+
+
+# the fold of a walk that yields the partitions themselves
+_PARTITIONS = (((), ()), _push_part, _close_partition)
+
+
+def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP, fold=None) -> Iterator:
+    """All partitions of n, in decreasing lexicographic order of the summand sequence.
+
+    With *fold*, each item is the fold value instead, as in
+    :func:`enumerate_constrained`.
+    """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     CapExceeded.check(n, cap, "partition enumeration")
-    return _descending(n, 0, 0, None)
+    return _descending(n, 0, 0, None, fold or _PARTITIONS)
 
 
 def enumerate_constrained(
@@ -269,12 +280,14 @@ def enumerate_constrained(
     produced.  The cost is proportional to the partitions produced, not to
     all partitions of n + r*s.
 
-    With *fold* = (start, push, close), each item is a pair (partition,
-    value), folded along the walk: placing a part p whose multiplicity
-    becomes m maps the state before it (start for the first part) to
-    push(state, p, m), and the value is close(state, ones), with ones the
-    number of trailing 1s, which are never pushed.  Partitions sharing a
-    prefix share its states, so a push costs once per prefix.
+    With *fold* = (start, push, close), each item is a value folded along
+    the walk instead of a partition, and no partition is built: placing a
+    part p > 1 whose multiplicity becomes m maps the state before it (start
+    for the first part) to push(state, p, m), and the item is
+    close(state, ones), with ones the number of trailing 1s, which are never
+    pushed.  Partitions sharing a prefix share its states, so a push costs
+    once per prefix; every partition with a part above 1 is its own prefix,
+    so a walk over all partitions of n >= 1 pushes p(n) - 1 parts.
     """
     if n < 0 or r < 0 or s < 0:
         raise ValueError("n, r, s must be non-negative")
@@ -282,4 +295,4 @@ def enumerate_constrained(
         raise ValueError("length must be non-negative")
     weight = n + r * s
     CapExceeded.check(weight, cap, "constrained enumeration")
-    return _descending(weight, r, s, length, fold)
+    return _descending(weight, r, s, length, fold or _PARTITIONS)

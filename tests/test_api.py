@@ -72,6 +72,24 @@ def test_tables_are_streams_and_the_removed_methods_stay_removed():
     assert "coefficient" not in vars(faadibruno.YPolynomial)
 
 
+def test_a_folding_enumeration_yields_fold_values_alone(monkeypatch):
+    # a folding walk yielded (partition, value) pairs before; now it yields the
+    # value alone and builds no Partition on the way
+    def no_partition(cls, *args):
+        raise AssertionError("a folding walk built a Partition")
+
+    monkeypatch.setattr(faadibruno.Partition, "_make", classmethod(no_partition))
+    fold = ("", lambda state, part, m: f"{state}{part}^{m} ", lambda state, ones: (state, ones))
+    assert list(faadibruno.enumerate_partitions(4, fold=fold)) == [
+        ("4^1 ", 0),
+        ("3^1 ", 1),
+        ("2^1 2^2 ", 0),
+        ("2^1 ", 2),
+        ("", 4),
+    ]
+    assert list(faadibruno.enumerate_constrained(2, 1, 1, fold=fold)) == [("3^1 ", 0), ("2^1 ", 1)]
+
+
 def _defines(statement, name):
     if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
         return statement.name == name

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import faadibruno.cli as cli
 from faadibruno.cli import main
+from faadibruno.partitions import DEFAULT_WEIGHT_CAP, enumerate_constrained, enumerate_partitions
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def run_cli(*args, expect: int = 0):
@@ -180,6 +183,87 @@ def test_partitions_listing_bytes_unchanged(n, fmt, tmp_path, capsysbinary):
     target = tmp_path / "listing"
     assert main([*argv, "--out", str(target)]) == 0
     assert target.read_bytes() == stdout
+
+
+def _rendered_lines(partitions, fmt):
+    """Each partition's listing line, rendered from its own parts."""
+    joined = {"csv": " ", "pretty": "+", "latex": "+"}[fmt]
+    texts = [joined.join(map(str, p.parts)) for p in partitions]
+    if fmt == "csv":
+        return "".join(f"{text}\n" for text in texts)
+    lead, end = ("$", "$ \\\\") if fmt == "latex" else ("", "")
+    return "".join(f"{lead}{text or '0'}{end}\n" for text in texts)
+
+
+LISTING_FORMATS = st.sampled_from(["csv", "pretty", "latex"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 25), LISTING_FORMATS)
+def test_listing_rendered_along_the_walk_equals_the_per_partition_rendering(n, fmt):
+    code, stdout, stderr = run_main(["partitions", "--n", str(n), "--format", fmt])
+    assert (code, stderr) == (0, "")
+    expected = _rendered_lines(enumerate_partitions(n), fmt)
+    if fmt == "latex":
+        expected = f"\\begin{{tabular}}{{l}}\n{expected}\\end{{tabular}}\n"
+    assert stdout.decode("utf-8") == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty", "latex"])
+def test_listing_fold_renders_runs_of_ones_longer_than_the_default_cap(fmt):
+    # --cap lets a listing pass weight 64, so the tail of 1s is built from its
+    # count; the partitions of 192 into 189 parts end in 186 to 188 ones
+    n = 3 * DEFAULT_WEIGHT_CAP
+    fold = cli._listing_fold(*cli._LISTING[fmt])
+    lines = enumerate_constrained(n, 0, 0, cap=n, length=n - 3, fold=fold)
+    partitions = list(enumerate_constrained(n, 0, 0, cap=n, length=n - 3))
+    assert len(partitions) == 3
+    assert "".join(lines) == _rendered_lines(partitions, fmt)
+
+
+def test_benchmark_listing_matches_its_golden_digest(capsysbinary):
+    # the listing the benchmark times, checked against the digest it checks
+    argv = "partitions --n 50 --format csv"
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+    assert main(argv.split()) == 0
+    stdout = capsysbinary.readouterr().out
+    assert hashlib.sha256(stdout).hexdigest() == golden["digests"][argv]
+
+
+JSON_ITEMS = st.lists(
+    st.fixed_dictionaries(
+        {"r": st.integers(0, 9), "parts": st.lists(st.integers(1, 9)), "coeff": st.text()}
+    ),
+    max_size=9,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_ITEMS, st.integers(1, 4))
+def test_json_rows_write_the_bytes_of_the_whole_document(items, batch):
+    # empty, one-item and batch-straddling lists alike; strings keep non-ASCII
+    def frame(rows):
+        return {"n": 3, "count": len(items), "entries": rows}
+
+    whole = json.dumps(frame(items), indent=2, ensure_ascii=False) + "\n"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_JSON_BATCH", batch)
+        assert "".join(cli._json_rows(frame, iter(items))) == whole
+
+
+def test_json_rows_read_one_batch_ahead_of_what_they_write():
+    read = []
+
+    def items():
+        for k in range(10 * cli._JSON_BATCH):
+            read.append(k)
+            yield {"k": k}
+
+    rows = cli._json_rows(lambda rows: {"entries": rows}, items())
+    assert next(rows) == '{\n  "entries": '
+    assert read == []
+    next(rows)
+    assert len(read) == cli._JSON_BATCH
 
 
 @pytest.mark.parametrize(

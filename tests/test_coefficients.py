@@ -277,6 +277,8 @@ def test_folded_rows_of_one_length_follow_the_enumeration(n, s, data):
     rows = list(constrained_coefficients(n, r, s, cap=PROPERTY_CAP, length=length))
     expected = list(enumerate_constrained(n, r, s, cap=PROPERTY_CAP, length=length))
     assert [lam for lam, _c in rows] == expected
+    # the folded items are the ones a partition counts from its own parts
+    assert [lam.items() for lam, _c in rows] == [Partition(lam.parts).items() for lam in expected]
     assert [c for _lam, c in rows] == [c_coeff(lam, r, s) for lam in expected]
 
 

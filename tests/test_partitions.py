@@ -209,6 +209,55 @@ def test_enumerate_constrained_property(n, r, s, length):
     assert got == _expected(constrained_reference(n, r, s, length))
 
 
+def _counting_fold():
+    """A fold whose items are the (part, multiplicity) pushes on the way to each
+    partition, with a count of every push the walk makes."""
+    pushed = [0]
+
+    def push(state, part, m):
+        pushed[0] += 1
+        return state + ((part, m),)
+
+    return pushed, ((), push, lambda state, _ones: state)
+
+
+def _pushes_expected(partitions):
+    # the parts above 1 of each partition, each with its multiplicity so far
+    return [
+        tuple((a, lam.parts[: k + 1].count(a)) for k, a in enumerate(lam.parts) if a > 1)
+        for lam in partitions
+    ]
+
+
+def test_listing_walk_places_one_part_per_partition_but_one():
+    # a deterministic work count: every partition with a part above 1 is its
+    # own prefix, so the walk places exactly its smallest such part once for
+    # it, and nothing for 1^n (or for the empty partition)
+    counts = partition_count_dp(50)
+    for n in [*range(31), 50]:
+        pushed, fold = _counting_fold()
+        values = list(enumerate_partitions(n, fold=fold))
+        assert len(values) == counts[n]
+        assert pushed[0] == counts[n] - 1, n
+        if n <= 20:
+            assert values == _pushes_expected(enumerate_partitions(n)), n
+
+
+def test_constrained_walk_places_no_part_off_the_way_to_a_partition():
+    # every part placed lies on the way to some partition produced, so the
+    # parts placed never exceed the parts above 1 of the partitions produced
+    for n in range(11):
+        for s in range(3):
+            for r in range(n + 1):
+                weight = n + r * s
+                for length in [None, *range(weight + 1)]:
+                    pushed, fold = _counting_fold()
+                    values = list(enumerate_constrained(n, r, s, length=length, fold=fold))
+                    built = enumerate_constrained(n, r, s, length=length)
+                    assert values == _pushes_expected(built), (n, r, s, length)
+                    assert pushed[0] <= sum(map(len, values)), (n, r, s, length)
+
+
 def test_enumerate_constrained_rejects_negative_length():
     with pytest.raises(ValueError):
         list(enumerate_constrained(3, 1, 0, length=-1))
