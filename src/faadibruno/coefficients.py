@@ -17,6 +17,7 @@ from typing import Iterator
 
 from .partitions import (
     DEFAULT_WEIGHT_CAP,
+    PARTITION_FOLD,
     CapExceeded,
     Partition,
     enumerate_constrained,
@@ -83,47 +84,45 @@ def constrained_coefficients(
 
     Same partitions in the same order, each coefficient folded along the
     partition walk instead of rebuilt per entry.  A state is the tuple
-    (e, den, parts, items): e is the elementary vector, to degree r, of the
-    falling factorials (i)_s of the placed parts i > s, den is the running
-    prod_i (i!)^m_i m_i!, and parts and items are the placed parts and their
-    ascending (part, multiplicity) pairs, so the leaf's partition is built
-    without recounting.  Placing a part i whose multiplicity becomes m
-    multiplies den by i! * m and, when i > s, multiplies e by 1 + (i)_s X;
-    both cost O(r) once per shared prefix.  The trailing run of t ones
-    closes the fold at the leaf: den gains t!, and for s = 0, where each 1
-    is a part above s with (1)_0 = 1, e_r becomes sum_j binom(t, j) e_{r-j}.
-    Integrality is asserted as in :func:`c_coeff`, which stays the
-    independent per-entry form.
+    (e, den, lam): e is the elementary vector, to degree r, of the falling
+    factorials (i)_s of the placed parts i > s, den is the running
+    prod_i (i!)^m_i m_i!, and lam is the state of partitions.PARTITION_FOLD,
+    advanced and closed by that fold's own push and close, so the leaf's
+    partition is built without recounting.  Placing a part i whose
+    multiplicity becomes m multiplies den by i! * m and, when i > s,
+    multiplies e by 1 + (i)_s X; both cost O(r) once per shared prefix.  The
+    trailing run of t ones closes the fold at the leaf: den gains t!, and for
+    s = 0, where each 1 is a part above s with (1)_0 = 1, e_r becomes
+    sum_j binom(t, j) e_{r-j}.  Integrality is asserted as in :func:`c_coeff`,
+    which stays the independent per-entry form.
     """
+    lam_start, lam_push, lam_close = PARTITION_FOLD
 
     def push(state, i, m):
         # e holds degrees 0..min(parts above s so far, r); higher ones are 0
-        e, den, parts, items = state
+        e, den, lam = state
         if i > s:
             x = perm(i, s)
             grown = [a + x * b for a, b in zip(e[1:], e)]
             if len(e) <= r:
                 grown.append(x * e[-1])
             e = (1, *grown)
-        # i is below every placed part: it heads the items, or raises the head's count
-        items = ((i, m),) + (items[1:] if m > 1 else items)
-        return e, den * _fact(i) * m, parts + (i,), items
+        return e, den * _fact(i) * m, lam_push(lam, i, m)
 
     def close(state, ones):
-        e, den, parts, items = state
+        e, den, lam = state
         e_r = e[r] if r < len(e) else 0
         if ones:
             den *= _fact(ones)
             if s == 0:
                 low = max(r - len(e) + 1, 0)
                 e_r = sum(comb(ones, j) * e[r - j] for j in range(low, min(ones, r) + 1))
-            parts, items = parts + (1,) * ones, ((1, ones),) + items
         q, rem = divmod(_fact(n) * e_r, den)
         if rem:
             raise IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
-        return Partition._make(parts, items), q
+        return lam_close(lam, ones), q
 
-    start = ((1,), 1, (), ())
+    start = ((1,), 1, lam_start)
     return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(start, push, close))
 
 

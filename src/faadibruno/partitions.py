@@ -179,8 +179,11 @@ def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterato
     # least ceil(rem / slots); without a length, drop the slot terms.  A
     # trailing run of 1s is placed in one step, which keeps the walk O(1)
     # amortized per partition.
-    # The fold's states ride on a stack beside the parts (see
-    # enumerate_constrained), and each leaf yields close(state, ones) alone.
+    # Each placed part above 1 is one frame (part, m, lo, state): m its
+    # multiplicity so far, lo its smallest admissible value, and state the
+    # fold state before it (see enumerate_constrained); the current state is
+    # a local, restored from the frame popped on backtracking, and each leaf
+    # yields close(state, ones) alone.
     if length is None:
         if r * (s + 1) > total:
             return
@@ -188,10 +191,8 @@ def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterato
         return
     step = s + 1
     start, push, close = fold
-    parts: list[int] = []  # the placed parts greater than 1, decreasing
-    mults: list[int] = []  # mults[k]: copies of parts[k] among parts[: k + 1]
-    lows: list[int] = []  # the smallest admissible value of each placed part
-    states = [start]  # states[k] folds the first k placed parts
+    frames: list[tuple] = []  # one per placed part above 1, parts decreasing
+    state = start
     rem, above, ones = total, 0, 0
     pending = 0  # after backtracking: the next value of the part just removed
     while True:
@@ -203,32 +204,27 @@ def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterato
                 if length is None:
                     spare, lo = 0, 1
                 else:
-                    slots = length - len(parts)
+                    slots = length - len(frames)
                     spare, lo = slots - max(need, 1), -(-rem // slots)
                 part = rem - spare
                 if need > 0:
                     part -= (need - 1) * step
                     lo = max(lo, step)
-                if parts and part > parts[-1]:
-                    part = parts[-1]
+                if frames and part > frames[-1][0]:
+                    part = frames[-1][0]
             if part == 1:
                 ones, rem = rem, 0
                 break
-            m = mults[-1] + 1 if parts and parts[-1] == part else 1
-            parts.append(part)
-            mults.append(m)
-            lows.append(lo)
-            states.append(push(states[-1], part, m))
+            m = frames[-1][1] + 1 if frames and frames[-1][0] == part else 1
+            frames.append((part, m, lo, state))
+            state = push(state, part, m)
             rem -= part
             if part > s:
                 above += 1
-        yield close(states[-1], ones)
+        yield close(state, ones)
         rem, ones = ones, 0
-        while parts:
-            part = parts.pop()
-            lo = lows.pop()
-            mults.pop()
-            states.pop()
+        while frames:
+            part, _, lo, state = frames.pop()
             rem += part
             if part > s:
                 above -= 1
@@ -253,8 +249,10 @@ def _close_partition(state: tuple, ones: int) -> Partition:
     return Partition._make(parts, items)
 
 
-# the fold of a walk that yields the partitions themselves
-_PARTITIONS = (((), ()), _push_part, _close_partition)
+# The fold of a walk that yields the partitions themselves.  Its state, the
+# placed parts and their (part, multiplicity) items, is the partition format:
+# another fold may carry it as an opaque part of its own state.
+PARTITION_FOLD = (((), ()), _push_part, _close_partition)
 
 
 def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP, fold=None) -> Iterator:
@@ -266,7 +264,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP, fold=None) -> It
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     CapExceeded.check(n, cap, "partition enumeration")
-    return _descending(n, 0, 0, None, fold or _PARTITIONS)
+    return _descending(n, 0, 0, None, fold or PARTITION_FOLD)
 
 
 def enumerate_constrained(
@@ -295,4 +293,4 @@ def enumerate_constrained(
         raise ValueError("length must be non-negative")
     weight = n + r * s
     CapExceeded.check(weight, cap, "constrained enumeration")
-    return _descending(weight, r, s, length, fold or _PARTITIONS)
+    return _descending(weight, r, s, length, fold or PARTITION_FOLD)

@@ -19,8 +19,8 @@ which is the order of the report.
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations_with_replacement, product
+from math import comb, perm, prod
 
 from . import bell, diffalg, polynomials, symfunc
 from .coefficients import (
@@ -266,12 +266,18 @@ def _check_subpartition_sum(max_n, max_s, rng, trials, cap):
     "reproduces e_r of the truncated falling-factorial image",
 )
 def _check_shifted_subpartition_sum(max_n, max_s, rng, trials, cap):
+    # sums[r]: over the sub-partitions mu of length r of nu = (lam_i - s : lam_i > s),
+    # the sum of prod_j binom(m_j(nu), m_j(mu)) * ((j + s)! / j!)^(m_j(mu))
     for lam in _all_partitions_upto(max_n):
         for s in range(max_s + 1):
             trunc = lam.truncate_above(s)
             vector = symfunc.elementary_moments(trunc.pochhammer(s), trunc.length + 1)
+            nu = Partition(a - s for a in trunc.parts).items()
+            sums = [0] * (trunc.length + 2)
+            for mu in product(*(range(m + 1) for _, m in nu)):
+                sums[sum(mu)] += prod(comb(m, c) * perm(j + s, s) ** c for (j, m), c in zip(nu, mu))
             for r in range(trunc.length + 2):
-                ok = symfunc.elementary_by_subpartitions(trunc, s, r) == vector[r]
+                ok = sums[r] == vector[r]
                 yield None if ok else {"lam": list(lam.parts), "s": s, "r": r}
 
 
@@ -678,20 +684,16 @@ def run_all(
     if max_n < 0 or max_s < 0:
         raise ValueError("bounds must be non-negative")
     results = []
-    all_passed = True
     for key, statement, runner, informational in SUITES:
         rng = random.Random(f"{seed}:{key}")
         instances, failures, witness = runner(max_n, max_s, rng, trials, cap)
-        passed = failures == 0
-        if not informational and not passed:
-            all_passed = False
         results.append(
             {
                 "key": key,
                 "statement": statement,
                 "instances": instances,
                 "failures": failures,
-                "passed": passed,
+                "passed": failures == 0,
                 "informational": informational,
                 "counterexample": witness,
             }
@@ -705,5 +707,5 @@ def run_all(
             "cap": cap,
         },
         "identities": results,
-        "passed": all_passed,
+        "passed": all(result["passed"] or result["informational"] for result in results),
     }

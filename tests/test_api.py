@@ -175,7 +175,8 @@ def _imported_layer(node):
 
 def private_layer_reads(source):
     tree = ast.parse(source)
-    modules = {}  # local name -> layer module it is bound to
+    # local name -> what it is bound to: a layer module, or a name imported from one
+    modules = {}
     reads = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -185,6 +186,8 @@ def private_layer_reads(source):
                     modules[alias.asname or alias.name] = alias.name
                 elif layer in LAYERS and _private(alias.name):
                     reads.append(f"{layer}.{alias.name}")
+                elif layer in LAYERS:
+                    modules[alias.asname or alias.name] = f"{layer}.{alias.name}"
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 layer = alias.name.partition("faadibruno.")[2]
@@ -208,13 +211,18 @@ def test_private_layer_reader_sees_every_import_form():
         "from faadibruno.diffalg import _SEED\n"
         "import faadibruno.cli as c\n"
         "from .sparse import _merge\n"
+        "from .partitions import Partition as P, enumerate_partitions\n"
+        "from .sparse import Sparse\n"
         "sf._newton_residuals(bell._capped_cache, c._HANDLERS, sf.__name__)\n"
+        "P._make(enumerate_partitions._cache, P.__new__, Sparse._merge)\n"
     )
     assert sorted(private_layer_reads(source)) == [
         "bell._capped_cache",
         "cli._HANDLERS",
         "diffalg._SEED",
+        "partitions.Partition._make",
         "partitions._descending",
+        "partitions.enumerate_partitions._cache",
         "symfunc._newton_residuals",
     ]
 

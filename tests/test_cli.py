@@ -557,6 +557,54 @@ def test_polynomial_writers_exit_cleanly_and_out_matches_stdout(argv, fmt, cap):
         assert_out_file_holds(argv, stdout)
 
 
+# a polynomial literal of degree <= 3 ("" is the zero polynomial), lowest degree first
+POLYNOMIAL_LITERAL = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=4
+).map(lambda coeffs: ",".join(map(str, coeffs)))
+REPORT_ARGV = st.one_of(
+    st.builds(
+        # joined with "=", as a literal may start with a minus sign
+        lambda f, g, phi, n, s: [
+            "check", f"--f={f}", f"--g={g}", f"--phi={phi}", "--n", str(n), "--s", str(s)
+        ],
+        POLYNOMIAL_LITERAL,
+        POLYNOMIAL_LITERAL,
+        POLYNOMIAL_LITERAL,
+        st.integers(0, 4),
+        st.integers(0, 2),
+    ),
+    st.builds(
+        lambda n, s, trials, seed: [
+            "verify", "--max-n", str(n), "--max-s", str(s), "--trials", str(trials),
+            "--seed", str(seed),
+        ],
+        st.integers(0, 3),
+        st.integers(0, 1),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(REPORT_ARGV, FORMAT_FLAGS, st.integers(1, 20))
+def test_report_writers_exit_cleanly_and_out_matches_stdout(argv, fmt, cap):
+    # the theorem holds and every suite passes, so a report never exits 1
+    argv = [*argv, "--format", fmt, "--cap", str(cap)]
+    code, stdout, stderr = run_main(argv)
+    assert code in (0, 2), (code, stderr)
+    assert "Traceback" not in stderr
+    if code == 2:
+        # one line: a cap error, or the JSON-only refusal, which has no "error: " prefix
+        assert stdout == b"" and stderr.endswith("\n") and stderr.count("\n") == 1
+        assert stderr.startswith("error: ") or stderr == f"{argv[0]} reports are JSON only\n"
+        return
+    report = json.loads(stdout)
+    assert report["equal" if argv[0] == "check" else "passed"] is True
+    assert stderr == ""
+    assert_out_file_holds(argv, stdout)
+
+
 def test_seed_belongs_to_verify_alone():
     code, stdout, stderr = run_main(["partitions", "--n", "3", "--seed", "1"])
     assert (code, stdout) == (2, b"")

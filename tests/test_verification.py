@@ -163,3 +163,41 @@ def test_a_wrong_modified_stirling_number_fails_s_independence(monkeypatch):
         "stirling_row_sum_doubling",
     ):
         assert results[key]["passed"] is True, key
+
+
+def subpartition_suites(monkeypatch):
+    # the plain and the shifted sub-partition suites at the benchmark grid, keyed by suite
+    keys = ("elementary_subpartition_sum", "elementary_shifted_subpartition_sum")
+    monkeypatch.setattr(
+        verification, "SUITES", tuple(e for e in verification.SUITES if e[0] in keys)
+    )
+    report = verification.run_all(max_n=7, max_s=3)
+    return {result["key"]: result for result in report["identities"]}
+
+
+def test_a_wrong_subpartition_sum_fails_the_plain_suite_alone(monkeypatch):
+    # the shifted suite sums over the shifted-down sub-partitions itself, so it
+    # no longer repeats the plain suite's instances of elementary_by_subpartitions
+    real = symfunc.elementary_by_subpartitions
+
+    def wrong(eta, s, r):
+        return real(eta, s, r) + ((eta.parts, s, r) == ((3, 2), 1, 1))
+
+    monkeypatch.setattr(symfunc, "elementary_by_subpartitions", wrong)
+    results = subpartition_suites(monkeypatch)
+    plain = results["elementary_subpartition_sum"]
+    assert (plain["instances"], plain["failures"]) == (314, 1)
+    assert plain["counterexample"] == {"eta": [3, 2], "s": 1, "r": 1}
+    shifted = results["elementary_shifted_subpartition_sum"]
+    assert (shifted["instances"], shifted["failures"], shifted["counterexample"]) == (589, 0, None)
+
+
+def test_a_wrong_shifted_weight_fails_the_shifted_suite(monkeypatch):
+    # perm(j + s, s) = (j + s)! / j! is the weight of a part j of the shifted-down nu
+    real = verification.perm
+    monkeypatch.setattr(verification, "perm", lambda n, k: real(n, k) + ((n, k) == (3, 1)))
+    results = subpartition_suites(monkeypatch)
+    assert results["elementary_subpartition_sum"]["failures"] == 0
+    shifted = results["elementary_shifted_subpartition_sum"]
+    assert shifted["failures"] > 0 and shifted["passed"] is False
+    assert shifted["counterexample"] == {"lam": [3], "s": 1, "r": 1}
