@@ -214,13 +214,6 @@ def _cmd_partitions(args) -> int:
     )
 
 
-def _refuses_csv(what: str, args) -> bool:
-    # expansions and Bell polynomials have no csv form; refused on the flags, before any work
-    if args.format == "csv":
-        print(f"csv output is not defined for {what}", file=sys.stderr)
-    return args.format == "csv"
-
-
 def _emit_polynomial(poly, header: dict, args) -> int:
     if args.format == "json":
         text = _json_text({**header, "terms": poly.to_json_list()})
@@ -246,8 +239,6 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if _refuses_csv("expansions", args):
-        return 2
     expansion = formula_expansion(args.n, args.s, cap=args.cap)
     if args.verify:
         oracle = nth_derivative_expansion(args.n, args.s, cap=args.cap)
@@ -264,8 +255,6 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_bell(args) -> int:
-    if _refuses_csv("Bell polynomials", args):
-        return 2
     poly = modified_partial_bell(args.n, args.k, args.r, args.s, cap=args.cap)
     header = {"n": args.n, "k": args.k, "r": args.r, "s": args.s}
     return _emit_polynomial(poly, header, args)
@@ -285,24 +274,27 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.format not in ("json", "pretty"):
-        print("check reports are JSON only", file=sys.stderr)
-        return 2
     report = check_main_theorem(args.f, args.g, args.phi, args.n, args.s, cap=args.cap)
     _emit(_json_text(report), args.out)
     return 0 if report["equal"] else 1
 
 
 def _cmd_verify(args) -> int:
-    if args.format not in ("json", "pretty"):
-        print("verify reports are JSON only", file=sys.stderr)
-        return 2
     report = verification.run_all(
         max_n=args.max_n, max_s=args.max_s, seed=args.seed, trials=args.trials, cap=args.cap
     )
     _emit(_json_text(report), args.out)
     return 0 if report["passed"] else 1
 
+
+# command -> (the formats it has no form for, the stderr line that refuses them
+# on the flags, before any work)
+_REFUSED = {
+    "expand": (("csv",), "csv output is not defined for expansions"),
+    "bell": (("csv",), "csv output is not defined for Bell polynomials"),
+    "check": (("csv", "latex"), "check reports are JSON only"),
+    "verify": (("csv", "latex"), "verify reports are JSON only"),
+}
 
 _HANDLERS = {
     "partitions": _cmd_partitions,
@@ -318,6 +310,10 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    refused, line = _REFUSED.get(args.command, ((), ""))
+    if args.format in refused:
+        print(line, file=sys.stderr)
+        return 2
     try:
         return _HANDLERS[args.command](args)
     except CapExceeded as exc:

@@ -21,6 +21,7 @@ from .partitions import (
     CapExceeded,
     Partition,
     enumerate_constrained,
+    modifications,
 )
 from .symfunc import elementary_moments
 
@@ -132,9 +133,11 @@ class RecurrenceEvaluator:
     The recurrence writes C(lam, r, s) as the sum, over each distinct part j of
     lam, of (m_{j-1} + 1) * C(lam with one j turned into j - 1, r, s), plus
     C(lam without one part s + 1, r - 1, s) when r >= 1; the empty partition
-    gives [r == 0].  value() evaluates it by an iterative post-order walk on an
-    explicit stack, so the depth of a decrement chain is bounded by memory, not
-    by Python's recursion limit.
+    gives [r == 0].  Both children of a part j, and the multiplicities behind
+    the weights, come from partitions.modifications, the one implementation
+    of the two modifications.  value() evaluates it by an iterative post-order
+    walk on an explicit stack, so the depth of a decrement chain is bounded by
+    memory, not by Python's recursion limit.
 
     The memo is keyed on the descending parts tuple alone: r enters the
     recurrence only through the shifted removal term, so one walk over a
@@ -170,26 +173,18 @@ class RecurrenceEvaluator:
         """
         s = self.s
         out = []
-        end = len(parts)
         below = below_mult = 0  # the run just below the current one: its part and length
-        while end:
-            j = parts[end - 1]
-            start = end - 1
-            while start and parts[start - 1] == j:
-                start -= 1
-            head, tail = parts[: end - 1], parts[end:]  # one j (its last copy) left out
-            child = head + (j - 1,) + tail if j > 1 else head
+        for j, m, removed, lowered in modifications(parts):
             weight = below_mult + 1 if below == j - 1 else 1
             if j == s + 1:
                 # the removal goes first: at s = 0 it is the same tuple as the
                 # decrement, and it needs the lower lo
-                out.append((0, head + tail, k - 1, lo - 1 if lo else 0))
+                out.append((0, removed, k - 1, lo - 1 if lo else 0))
                 if k > lo:
-                    out.append((weight, child, k - 1, lo))
+                    out.append((weight, lowered, k - 1, lo))
             else:
-                out.append((weight, child, k, lo))
-            below, below_mult = j, end - start
-            end = start
+                out.append((weight, lowered, k, lo))
+            below, below_mult = j, m
         return out
 
     def value(self, lam: Partition, r: int) -> int:

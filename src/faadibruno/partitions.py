@@ -5,8 +5,8 @@ A partition is stored once, as its summand sequence in decreasing order
 hashing compare that tuple.  The (part size, multiplicity) pairs m_i that
 index every coefficient formula in this package are counted once, at
 construction, in ascending order of i; absent sizes have multiplicity 0,
-and m_0 is identically 0.  Every modification slices or rebuilds the
-tuple.
+and m_0 is identically 0.  The recurrence's modifications, one part removed
+or lowered by 1, come from :func:`modifications` alone.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class Partition:
             k -= 1
         return k
 
-    def _last(self, j: int) -> int:
-        # index of the last copy of j; every copy sits in one contiguous run
-        if j not in self._parts:
-            raise ValueError(f"partition has no part equal to {j}")
-        return self._parts.index(j) + self._parts.count(j) - 1
-
     # -- modifications ------------------------------------------------------
 
     def truncate_above(self, s: int) -> "Partition":
@@ -132,18 +126,6 @@ class Partition:
         if s < 0:
             raise ValueError("s must be non-negative")
         return Partition._make(tuple(a + s for a in self._parts))
-
-    def remove_part(self, j: int) -> "Partition":
-        """Drop one part equal to j."""
-        k = self._last(j)
-        return Partition._make(self._parts[:k] + self._parts[k + 1 :])
-
-    def decrement_part(self, j: int) -> "Partition":
-        """Turn one part equal to j into j - 1, dropping it entirely when j = 1."""
-        # lowering the last copy of j keeps the tuple descending
-        k = self._last(j)
-        lowered = (j - 1,) if j > 1 else ()
-        return Partition._make(self._parts[:k] + lowered + self._parts[k + 1 :])
 
     # -- serialization and protocol support ----------------------------------
 
@@ -253,6 +235,23 @@ def _close_partition(state: tuple, ones: int) -> Partition:
 # placed parts and their (part, multiplicity) items, is the partition format:
 # another fold may carry it as an opaque part of its own state.
 PARTITION_FOLD = (((), ()), _push_part, _close_partition)
+
+
+def modifications(parts: tuple[int, ...]) -> Iterator[tuple]:
+    """(j, m_j, parts without one j, parts with one j lowered to j - 1), ascending j.
+
+    One item per distinct part j of the descending tuple *parts*, read off
+    its runs from the end.  The last copy of j is the one changed, so both
+    tuples stay descending; lowering a 1 drops it.
+    """
+    end = len(parts)
+    while end:
+        j = parts[end - 1]
+        start = parts.index(j)  # the run of j begins at its first copy
+        head, tail = parts[: end - 1], parts[end:]
+        removed = head + tail
+        yield j, end - start, removed, head + (j - 1,) + tail if j > 1 else removed
+        end = start
 
 
 def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP, fold=None) -> Iterator:

@@ -34,6 +34,7 @@ from .partitions import (
     DEFAULT_WEIGHT_CAP,
     Partition,
     enumerate_partitions,
+    modifications,
 )
 from .sparse import _accumulate
 
@@ -128,11 +129,13 @@ def _check_partition_counts(max_n, max_s, rng, trials, cap):
 )
 def _check_partition_modifications(max_n, max_s, rng, trials, cap):
     for lam in _all_partitions_upto(max_n):
-        for j, _m in lam.items():
-            removed = lam.remove_part(j)
-            lowered = lam.decrement_part(j)
+        for j, m, removed_parts, lowered_parts in modifications(lam.parts):
+            # descending as built: the recurrence keys its memo on the raw tuples
+            removed, lowered = Partition(removed_parts), Partition(lowered_parts)
             ok = (
-                removed.weight == lam.weight - j
+                m == lam.multiplicity(j)
+                and (removed.parts, lowered.parts) == (removed_parts, lowered_parts)
+                and removed.weight == lam.weight - j
                 and removed.length == lam.length - 1
                 and all(
                     removed.multiplicity(i) == lam.multiplicity(i) - (1 if i == j else 0)

@@ -1,6 +1,7 @@
 """The public names of the `faadibruno` package, pinned so that any change is deliberate,
-the rule that each of them is used somewhere inside the package, and the rule that no
-layer module reads another layer's private names."""
+the rule that each of them, and each public top-level name of every module, is used
+somewhere inside the package, and the rule that no layer module reads another layer's
+private names."""
 
 import ast
 import types
@@ -127,9 +128,37 @@ def test_reference_counter_skips_the_definition_and_docstrings():
     assert references(tree, "inner") == 2
 
 
+def public_definitions(tree):
+    """The public names a module binds at its top level, by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in names if not _private(name)}
+
+
+def test_public_definitions_are_the_top_level_public_names():
+    tree = ast.parse(
+        "X, _Y = 1, 2\n"
+        "Z = W = 3\n"
+        "V: int = 7\n"
+        "_hidden = 4\n"
+        "def f():\n"
+        "    inner = 5\n"
+        "class C:\n"
+        "    attr = 6\n"
+        "def _g(): pass\n"
+    )
+    assert public_definitions(tree) == {"X", "Z", "W", "V", "f", "C"}
+
+
 def test_every_public_name_is_used_inside_the_package():
-    # an export nothing in the package reads is an uncalled wrapper; an alias
-    # such as run_verification is looked up under the name it is defined by
+    # an export nothing in the package reads is an uncalled wrapper, and so is
+    # any public top-level name of a module, exported or not; an alias such as
+    # run_verification is looked up under the name it is defined by
     package = Path(faadibruno.__file__).parent
     init = ast.parse((package / "__init__.py").read_text())
     defined_as = {
@@ -139,11 +168,9 @@ def test_every_public_name_is_used_inside_the_package():
         for alias in node.names
     }
     trees = [ast.parse(p.read_text()) for p in package.glob("*.py") if p.name != "__init__.py"]
-    unused = [
-        name
-        for name in sorted(PUBLIC_NAMES)
-        if not any(references(tree, defined_as[name]) for tree in trees)
-    ]
+    names = {defined_as[name] for name in PUBLIC_NAMES}.union(*map(public_definitions, trees))
+    assert {"PARTITION_FOLD", "modifications", "partition_count_dp"} <= names
+    unused = [name for name in sorted(names) if not any(references(t, name) for t in trees)]
     assert unused == []
 
 

@@ -312,14 +312,15 @@ def _table_evaluator(monkeypatch, n, s):
 
 
 @pytest.mark.parametrize(
-    "n, s, bound",
+    "n, s, entries",
     [
         # sum over w <= 22 of p(w): one entry per partition the walk can reach
         (22, 0, 4508),
-        # the (parts, r) states the memo held when it was keyed on both
-        (10, 4, 1182),
+        # one entry per partition the recurrence reaches from the table's entries
+        (10, 4, 1073),
     ],
 )
-def test_recurrence_memo_holds_one_entry_per_partition(monkeypatch, n, s, bound):
+def test_recurrence_memo_holds_one_entry_per_partition(monkeypatch, n, s, entries):
+    # the recurrence's work, pinned exactly: a change that fills more entries fails here
     evaluator = _table_evaluator(monkeypatch, n, s)
-    assert len(evaluator._memo) <= bound
+    assert len(evaluator._memo) == entries

@@ -23,6 +23,7 @@ from faadibruno.partitions import (
     Partition,
     enumerate_constrained,
     enumerate_partitions,
+    modifications,
 )
 
 from helpers import constrained_reference, partition_count_dp, partition_reference
@@ -320,15 +321,15 @@ def test_union_shift_parameter_laws_exhaustive():
 
 
 def test_remove_and_decrement_examples():
-    assert Partition([2, 2, 1]).remove_part(2) == Partition([2, 1])
-    assert Partition([1]).remove_part(1) == Partition([])
-    with pytest.raises(ValueError):
-        Partition([3, 1]).remove_part(2)
-    assert Partition([2, 2, 1]).decrement_part(2) == Partition([2, 1, 1])
-    assert Partition([2, 1]).decrement_part(1) == Partition([2])
-    assert Partition([2]).decrement_part(2) == Partition([1])
-    with pytest.raises(ValueError):
-        Partition([3, 1]).decrement_part(2)
+    # (j, m_j, one j removed, one j lowered to j - 1), ascending j; a lowered 1 is dropped
+    assert list(modifications((2, 2, 1))) == [(1, 1, (2, 2), (2, 2)), (2, 2, (2, 1), (2, 1, 1))]
+    assert list(modifications((1,))) == [(1, 1, (), ())]
+    assert list(modifications((2, 1))) == [(1, 1, (2,), (2,)), (2, 1, (1,), (1, 1))]
+    assert list(modifications((2,))) == [(2, 1, (), (1,))]
+    assert list(modifications(())) == []
+    # modifications is the one implementation; Partition keeps no second one
+    for name in ("remove_part", "decrement_part", "_last"):
+        assert not hasattr(Partition, name)
 
 
 def test_modification_parameter_laws_exhaustive():
@@ -336,11 +337,11 @@ def test_modification_parameter_laws_exhaustive():
     # decrementing: weight -1, length -delta_{j,1}, m_j -1 and m_{j-1} +1 for j >= 2
     for n in range(13):
         for lam in enumerate_partitions(n):
-            for j, _m in lam.items():
-                removed = lam.remove_part(j)
+            assert [(j, m) for j, m, _, _ in modifications(lam.parts)] == list(lam.items())
+            for j, _m, removed, lowered in modifications(lam.parts):
+                removed, lowered = Partition(removed), Partition(lowered)
                 assert removed.weight == lam.weight - j
                 assert removed.length == lam.length - 1
-                lowered = lam.decrement_part(j)
                 assert lowered.weight == lam.weight - 1
                 assert lowered.length == lam.length - (1 if j == 1 else 0)
                 for i in range(1, n + 2):
@@ -364,15 +365,16 @@ def _same_partition(fast, parts):
 def test_modification_metadata_matches_rebuilt_partition():
     # the enumeration passes on the items it tracks, and every modification
     # slices or rebuilds the parts tuple; each must agree with a from-scratch
-    # build from the plain list of parts
+    # build from the plain list of parts, the raw tuples of modifications in
+    # their order too, since the recurrence keys its memo on them
     pool = [lam for n in range(13) for lam in enumerate_partitions(n)]
     for lam in pool:
         _same_partition(lam, lam.parts)
-        for j, _m in lam.items():
+        for j, _m, removed, lowered in modifications(lam.parts):
             rest = list(lam.parts)
             rest.remove(j)
-            _same_partition(lam.remove_part(j), rest)
-            _same_partition(lam.decrement_part(j), rest + ([j - 1] if j > 1 else []))
+            assert removed == Partition(rest).parts
+            assert lowered == Partition(rest + ([j - 1] if j > 1 else [])).parts
         for s in range(5):
             _same_partition(lam.shift_up(s), [a + s for a in lam.parts])
             _same_partition(lam.truncate_above(s), [a for a in lam.parts if a > s])

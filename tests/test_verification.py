@@ -2,7 +2,7 @@
 
 import pytest
 
-from faadibruno import bell, coefficients, symfunc, verification
+from faadibruno import bell, coefficients, partitions, symfunc, verification
 from faadibruno.coefficients import IntegralityError, coefficient_table
 from faadibruno.partitions import DEFAULT_WEIGHT_CAP
 
@@ -201,3 +201,62 @@ def test_a_wrong_shifted_weight_fails_the_shifted_suite(monkeypatch):
     shifted = results["elementary_shifted_subpartition_sum"]
     assert shifted["failures"] > 0 and shifted["passed"] is False
     assert shifted["counterexample"] == {"lam": [3], "s": 1, "r": 1}
+
+
+def _m_one_too_high_for_ones(real, parts):
+    for j, m, removed, lowered in real(parts):
+        yield j, m + (j == 1), removed, lowered
+
+
+def _first_copy_lowered(real, parts):
+    # lowering the first copy of j instead of the last leaves the tuple unsorted
+    for j, m, removed, lowered in real(parts):
+        i = parts.index(j)
+        yield j, m, removed, parts[:i] + ((j - 1,) if j > 1 else ()) + parts[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "fault, expected",
+    [
+        (
+            _m_one_too_high_for_ones,
+            {
+                "partition_modification_parameters": (75, 30, {"partition": [1], "j": 1}),
+                "coefficient_recurrence_matches_closed_form": (
+                    873,
+                    357,
+                    {"n": 3, "s": 0, "r": 0, "lam": [2, 1]},
+                ),
+            },
+        ),
+        (
+            _first_copy_lowered,
+            {
+                "partition_modification_parameters": (75, 9, {"partition": [2, 2], "j": 2}),
+                "coefficient_recurrence_matches_closed_form": (
+                    873,
+                    310,
+                    {"n": 4, "s": 0, "r": 0, "lam": [2, 2]},
+                ),
+            },
+        ),
+    ],
+)
+def test_a_wrong_modification_fails_both_suites_that_read_it(monkeypatch, fault, expected):
+    # partitions.modifications is the one source of the removed and lowered tuples:
+    # the suite named for them and the recurrence's cross-check both fail on a fault in it
+    real = partitions.modifications
+
+    def wrong(parts):
+        return fault(real, parts)
+
+    for module in (partitions, coefficients, verification):
+        monkeypatch.setattr(module, "modifications", wrong)
+    suites = verification.SUITES
+    for key, (instances, failures, witness) in expected.items():
+        monkeypatch.setattr(verification, "SUITES", tuple(e for e in suites if e[0] == key))
+        report = verification.run_all(max_n=7, max_s=3)
+        (result,) = report["identities"]
+        assert (result["instances"], result["failures"]) == (instances, failures), key
+        assert result["counterexample"] == witness
+        assert result["passed"] is False and report["passed"] is False
