@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd, lcm, prod
 from typing import Iterable, Union
 
 from .diffalg import DiffPolynomial, formula_expansion
@@ -125,8 +126,9 @@ class RationalPolynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # the square past the top bit would go unused
+                base = base * base
         return result
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
@@ -147,10 +149,12 @@ class RationalPolynomial:
 
 
 class FormulaInstantiator:
-    """Evaluates expansion monomials on concrete polynomials, caching the pieces.
+    """Evaluates formula expansions on concrete polynomials, one y-part at a time.
 
-    Fixed to one triple (f, g, phi) and one shift s; a single instance should
-    serve every monomial of every expansion compared against that instance.
+    Fixed to one triple (f, g, phi) and one shift s.  An expansion is summed as
+    sum_y Y(y) * (sum c * F_a * G_b), with F_a = f^(a) o phi, G_b = g^(b) o phi^(s)
+    and Y(y) = prod (phi^(i))^e.  Each F_a * G_b and each Y(y) is built on first
+    use and kept for every later expansion evaluated by this instance.
     """
 
     def __init__(
@@ -160,57 +164,31 @@ class FormulaInstantiator:
         phi: RationalPolynomial,
         s: int,
     ):
-        self.f = f
-        self.g = g
-        self.phi = phi
-        self.phi_s = phi.derivative(s)
-        self._f_comp: dict[int, RationalPolynomial] = {}
-        self._g_comp: dict[int, RationalPolynomial] = {}
-        self._phi_pow: dict[tuple[int, int], RationalPolynomial] = {}
-
-    def _f_at(self, a: int) -> RationalPolynomial:
-        if a not in self._f_comp:
-            self._f_comp[a] = self.f.derivative(a).compose(self.phi)
-        return self._f_comp[a]
-
-    def _g_at(self, b: int) -> RationalPolynomial:
-        if b not in self._g_comp:
-            self._g_comp[b] = self.g.derivative(b).compose(self.phi_s)
-        return self._g_comp[b]
-
-    def _phi_factor(self, i: int, e: int) -> RationalPolynomial:
-        key = (i, e)
-        if key not in self._phi_pow:
-            self._phi_pow[key] = self.phi.derivative(i) ** e
-        return self._phi_pow[key]
+        self.phi_s = phi_s = phi.derivative(s)
+        self._degrees = (f.degree, g.degree, phi.degree)
+        # the closures capture the polynomials, not self, so no cycle forms
+        f_at = cache(lambda a: f.derivative(a).compose(phi))
+        g_at = cache(lambda b: g.derivative(b).compose(phi_s))
+        self._fg = cache(lambda a, b: f_at(a) * g_at(b))
+        self._y = cache(
+            lambda y: prod((phi.derivative(i) ** e for i, e in y), start=RationalPolynomial([1]))
+        )
 
     def expansion_value(self, expansion: DiffPolynomial) -> RationalPolynomial:
-        total = RationalPolynomial()
+        df, dg, dphi = self._degrees
+        groups: dict[tuple, RationalPolynomial] = {}
         for mono, coeff in expansion:
             if mono.z:
                 raise ValueError("psi symbols cannot be instantiated here")
-            a = mono.f_order if mono.f_order is not None else 0
-            b = mono.g_order if mono.g_order is not None else 0
-            # a polynomial's high derivatives vanish: skip dead monomials early
-            if a > self.f.degree or b > self.g.degree:
+            a, b, y = mono.f_order, mono.g_order, mono.y
+            # past its degree a polynomial's derivative vanishes; y ascends by index
+            if a > df or b > dg or (y and y[-1][0] > dphi):
                 continue
-            value = self._f_at(a)
-            if value.is_zero():
-                continue
-            gb = self._g_at(b)
-            if gb.is_zero():
-                continue
-            value = value * gb
-            dead = False
-            for i, e in mono.y:
-                factor = self._phi_factor(i, e)
-                if factor.is_zero():
-                    dead = True
-                    break
-                value = value * factor
-            if dead:
-                continue
-            total = total + value.scale(coeff)
+            term = self._fg(a, b).scale(coeff)
+            groups[y] = groups[y] + term if y in groups else term
+        total = RationalPolynomial()
+        for y, inner in groups.items():
+            total = total + self._y(y) * inner
         return total
 
 

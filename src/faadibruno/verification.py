@@ -236,12 +236,11 @@ def _check_subtract_transform(max_n, max_s, rng, trials, cap):
         e = symfunc.elementary_moments(b, r_max)
         for value in sorted(set(b)):
             i = b.index(value)
-            rest = b[:i] + b[i + 1 :]
-            ok = symfunc.subtract_transform(e, value, value) == symfunc.elementary_moments(
-                rest, r_max
-            ) and all(
+            e_rest = symfunc.elementary_moments(b[:i] + b[i + 1 :], r_max)
+            # e(rest + (x,)) is e(rest) times the one factor (1 + x X)
+            ok = symfunc.subtract_transform(e, value, value) == e_rest and all(
                 symfunc.subtract_transform(e, value, c)
-                == symfunc.elementary_moments(rest + (value - c,), r_max)
+                == tuple(hi + (value - c) * lo for hi, lo in zip(e_rest, (0,) + e_rest))
                 for c in (0, 1, value // 2)
             )
             yield None if ok else {"multiset": list(b), "value": value}

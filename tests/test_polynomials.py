@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faadibruno import verification
+from faadibruno.diffalg import leibniz_product_expansion
 from faadibruno.polynomials import (
+    FormulaInstantiator,
     RationalPolynomial,
     check_main_theorem,
     random_polynomial,
@@ -139,6 +142,75 @@ def test_random_polynomial_bounds():
         for c in p.coeffs:
             assert abs(c.numerator) <= 10
             assert 1 <= c.denominator <= 10
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """A one-item list counting every RationalPolynomial product made from now on."""
+    count = [0]
+    real = RationalPolynomial.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(RationalPolynomial, "__mul__", counting)
+    return count
+
+
+def test_power_stops_squaring_after_the_top_bit(products):
+    base = P(1, Fraction(-2, 3), 5)
+    made = []
+    for e in range(10):
+        products[0] = 0
+        value = base**e
+        made.append(products[0])
+        expected = P(1)
+        for _ in range(e):
+            expected = expected * base
+        assert value == expected
+    # popcount(e) + bit_length(e) - 1 products for e >= 1
+    assert made == [0, 1, 2, 3, 3, 4, 4, 5, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "f, g, phi",
+    [
+        (P(), P(1, -2, 3), P(0, 1, 2)),  # f = 0
+        (P(2, 1, 1), P(), P(0, 1, 2)),  # g = 0
+        (P(2, 1, 1), P(1, -2, 3), P()),  # phi = 0
+        (P(2, 1, 1), P(1, -2, 3), P(Fraction(3, 2))),  # constant phi
+        (P(0, 0, 1), P(1, -2, 3), P(1, 0, 1, 1)),  # deg f below n
+        (P(5, 4, 3, 2, 1), P(0, 1), P(1, 2, 0, -1)),  # deg g below n
+        (P(5, 4, 3, 2, 1), P(1, -2, 3), P(1, 2)),  # linear phi
+    ],
+)
+def test_expansion_at_edge_degrees(f, g, phi):
+    # monomials with a = deg f, b = deg g or top y index = deg phi are live;
+    # one past any of them is dead
+    for s in range(3):
+        for n in range(5):
+            assert check_main_theorem(f, g, phi, n, s)["equal"]
+
+
+def test_psi_expansions_are_refused():
+    inst = FormulaInstantiator(P(1, 1), P(2, 1), P(0, 1, 1), 0)
+    with pytest.raises(ValueError, match="psi symbols cannot be instantiated here"):
+        inst.expansion_value(leibniz_product_expansion(1))
+
+
+def test_concrete_oracle_products_at_the_benchmark_grid(products, monkeypatch):
+    # random_polynomial_instances alone at verify (7, 3, 50), seeded as run_all seeds it
+    (entry,) = [e for e in verification.SUITES if e[0] == "random_polynomial_instances"]
+    monkeypatch.setattr(verification, "SUITES", (entry,))
+    (result,) = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)["identities"]
+    assert (result["instances"], result["failures"], result["counterexample"]) == (
+        1050,
+        0,
+        None,
+    )
+    # one Y per partition and one F_a * G_b per (a, b) pair, per instance
+    assert products[0] == 20840
 
 
 # Property tests: the integer-numerator representation against the
