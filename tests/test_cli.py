@@ -171,6 +171,8 @@ PARTITION_LISTING_SHA256 = {
     (12, "csv"): "7b9d9e2e04af5d1906b33f92846fc6f688cccde84c2684cf5780237077e90d6f",
     (12, "latex"): "fbe4068f487491f6354777fc9aedc643fe8278dd416f2d43dd9c137163900685",
     (12, "pretty"): "cf1f0e63ba24ef5ed086b382b0053836552b4ef0828747f904a08ee18c23fd15",
+    # recorded at 1c2eacd, while JSON rows were still dicts run through json
+    (50, "json"): "65c80a028108725ce3f4d0f68c6a2cac4da0e7954caaa85f80cf63148163919c",
 }
 
 
