@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator
 
 from . import verification
 from .bell import modified_partial_bell, stirling_table
 from .coefficients import CrossCheckError, coefficient_table
 from .diffalg import formula_expansion, nth_derivative_expansion
-from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, Partition, enumerate_partitions
+from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_partitions
 from .polynomials import RationalPolynomial, check_main_theorem
 
 FORMATS = ("json", "csv", "latex", "pretty")
@@ -119,42 +119,43 @@ def _emit(text: str, out: str | None) -> None:
 # json.dumps(data, indent=2, ensure_ascii=False), with one encoder for every call
 _JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
 _json_text = _JSON.encode
-_JSON_BATCH = 1024  # items rendered by one encoder call
 
 
-def _json_rows(frame, items) -> Iterator[str]:
-    """The text of _json_text(frame(list(items))) + newline, written a batch of items at a time.
+def _json_rows(frame, lines) -> Iterator[str]:
+    """The text of _json_text(frame(list of items)) + newline, one item line at a time.
 
     frame is a top-level object whose values are numbers and the item list,
-    so the list sits one level deep.  A batch is rendered as a list of its
-    own, one level shallower: its brackets are dropped and every line break
-    gains one indent.
+    so the list sits one level deep; each of *lines* is one item's text at
+    that depth, from the line break before it, and they are joined by commas.
     """
     hole = "<rows>"
     head, _, foot = _json_text(frame(hole)).partition(_json_text(hole))
     yield head
-    items = iter(items)
     opening, close = "[", "[]"
-    while batch := list(islice(items, _JSON_BATCH)):
-        # "[\n  A,\n  B\n]" -> "\n  A,\n  B" -> "\n    A,\n    B", nested lines alike
-        yield opening + _json_text(batch)[1:-2].replace("\n", "\n  ")
+    for line in lines:
+        yield opening + line
         opening, close = ",", "\n  ]"
     yield f"{close}{foot}\n"
 
 
-def _emit_rows(rows, args, *, frame, item, csv, pretty, latex, tabular, title=()) -> int:
+def _json_parts(parts) -> str:
+    # a parts list as json.dumps with indent 2 renders it in a field of a list item
+    return "[\n        " + ",\n        ".join(map(str, parts)) + "\n      ]" if parts else "[]"
+
+
+def _emit_rows(rows, args, *, frame, json, csv, pretty, latex, tabular, title=()) -> int:
     """Write a table or listing in args.format: the one writer for every table.
 
     Every format is streamed row by row, so memory stays flat however many
-    rows there are.  json writes the bytes of one document,
-    frame(list of item(row)), as json.dumps with indent 2 would.  csv,
-    pretty and latex write one line per row, each the row's template call,
+    rows there are, and every row is its format's template call.  json writes
+    the bytes of one document, frame(list of items), as json.dumps with indent
+    2 would (see _json_rows).  csv, pretty and latex write one line per row,
     newline included: pretty after the fixed head lines *title*, latex
     between the fixed head lines *tabular* (the tabular opening and any
     column-header row) and the tabular close.
     """
     if args.format == "json":
-        _write(_json_rows(frame, map(item, rows)), args.out)
+        _write(_json_rows(frame, map(json, rows)), args.out)
         return 0
     head, line, foot = {
         "csv": ((), csv, ()),
@@ -166,50 +167,50 @@ def _emit_rows(rows, args, *, frame, item, csv, pretty, latex, tabular, title=()
     return 0
 
 
-def _listing_fold(lead: str, sep: str, zero: str, end: str) -> tuple:
+def _listing_fold(lead: str, sep: str, end: str, empty: str) -> tuple:
     """A fold for the partition walk whose values are the listing lines.
 
-    A line is lead, the parts joined by the one-character sep (zero for the
-    empty partition), then end.  The state is the rendered prefix of the
-    parts above 1, each followed by sep, so a shared prefix is rendered
-    once; close adds the trailing 1s, whose tail is built from their count.
+    A line is lead, the parts joined by sep, then end; the empty partition's
+    line is *empty*.  The state is the rendered prefix of the parts above 1,
+    each followed by sep, so a shared prefix is rendered once; close adds
+    the trailing 1s, whose tail is built from their count.
     """
-    one = "1" + sep
+    one, cut = "1" + sep, -len(sep)
 
     def push(state, part, _m):
         return f"{state}{part}{sep}"
 
     def close(state, ones):
-        return f"{lead}{(state + one * ones)[:-1] or zero}{end}"
+        body = state + one * ones
+        return f"{lead}{body[:cut]}{end}" if body else empty
 
     return "", push, close
 
 
-# format -> (lead, separator, the empty partition, end) of a listing line
+# format -> (lead, separator, end, the empty partition's line) of a listing line;
+# a json line is one item of the document's "partitions" list
 _LISTING = {
-    "csv": ("", " ", "", "\n"),
-    "pretty": ("", "+", "0", "\n"),
-    "latex": ("$", "+", "0", "$ \\\\\n"),
+    "csv": ("", " ", "\n", "\n"),
+    "pretty": ("", "+", "\n", "0\n"),
+    "latex": ("$", "+", "$ \\\\\n", "$0$ \\\\\n"),
+    "json": ('\n    {\n      "parts": [\n        ', ",\n        ", "\n      ]\n    }",
+             '\n    {\n      "parts": []\n    }'),
 }
 
 
 def _cmd_partitions(args) -> int:
-    # text lines are rendered along the walk; json keeps Partition rows, and
-    # its frame takes the count from the DP before the first row
+    # every line is rendered along the walk; the json frame takes the count
+    # from the DP before the first line
     n = args.n
-    fold = _listing_fold(*_LISTING[args.format]) if args.format in _LISTING else None
     return _emit_rows(
-        enumerate_partitions(n, cap=args.cap, fold=fold),
+        enumerate_partitions(n, cap=args.cap, fold=_listing_fold(*_LISTING[args.format])),
         args,
         frame=lambda items: {
             "n": n,
             "count": verification.partition_count_dp(n)[n],
             "partitions": items,
         },
-        item=Partition.to_json_dict,
-        csv=str,
-        pretty=str,
-        latex=str,
+        **dict.fromkeys(FORMATS, str),  # the rows are the lines
         tabular=(r"\begin{tabular}{l}",),
     )
 
@@ -225,11 +226,12 @@ def _emit_polynomial(poly, header: dict, args) -> int:
 
 def _cmd_coeff(args) -> int:
     n, s = args.n, args.s
+    item = '\n    {{\n      "r": {},\n      "parts": {},\n      "coeff": "{}"\n    }}'.format
     return _emit_rows(
         coefficient_table(n, s, verify=args.verify, cap=args.cap),
         args,
         frame=lambda items: {"n": n, "s": s, "entries": items},
-        item=lambda e: {"r": e[0], "parts": list(e[1].parts), "coeff": str(e[2])},
+        json=lambda e: item(e[0], _json_parts(e[1].parts), e[2]),
         csv=lambda e: f"{e[0]},{' '.join(map(str, e[1].parts))},{e[2]}\n",
         pretty=lambda e: f"  r={e[0]}  {'+'.join(map(str, e[1].parts)) or '0':<18} {e[2]}\n",
         latex=lambda e: f"{e[0]} & ({', '.join(map(str, e[1].parts))}) & {e[2]} \\\\\n",
@@ -261,11 +263,13 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
+    item = ('\n    {{\n      "n": {},\n      "k": {},\n      "r": {},'
+            '\n      "value": "{}"\n    }}').format
     return _emit_rows(
         stirling_table(args.n_max, cap=args.cap),
         args,
         frame=lambda items: {"n_max": args.n_max, "entries": items},
-        item=lambda e: {"n": e[0], "k": e[1], "r": e[2], "value": str(e[3])},
+        json=lambda e: item(*e),
         csv="{0[0]},{0[1]},{0[2]},{0[3]}\n".format,
         pretty="S~({0[0]},{0[1]},{0[2]}) = {0[3]}\n".format,
         latex="{0[0]} & {0[1]} & {0[2]} & {0[3]} \\\\\n".format,

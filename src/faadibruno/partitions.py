@@ -127,10 +127,7 @@ class Partition:
             raise ValueError("s must be non-negative")
         return Partition._make(tuple(a + s for a in self._parts))
 
-    # -- serialization and protocol support ----------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"parts": list(self._parts)}
+    # -- protocol support ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm, prod
+from functools import cache, reduce
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Union
 
 from .diffalg import DiffPolynomial, formula_expansion
@@ -120,15 +121,13 @@ class RationalPolynomial:
     def __pow__(self, exponent: int) -> "RationalPolynomial":
         if exponent < 0:
             raise ValueError("negative powers are not defined here")
-        result = RationalPolynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:  # the square past the top bit would go unused
-                base = base * base
+        if not exponent:
+            return RationalPolynomial([1])
+        result = self  # the top bit; the bits below it, left to right
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
@@ -170,9 +169,7 @@ class FormulaInstantiator:
         f_at = cache(lambda a: f.derivative(a).compose(phi))
         g_at = cache(lambda b: g.derivative(b).compose(phi_s))
         self._fg = cache(lambda a, b: f_at(a) * g_at(b))
-        self._y = cache(
-            lambda y: prod((phi.derivative(i) ** e for i, e in y), start=RationalPolynomial([1]))
-        )
+        self._y = cache(lambda y: reduce(mul, (phi.derivative(i) ** e for i, e in y)))
 
     def expansion_value(self, expansion: DiffPolynomial) -> RationalPolynomial:
         df, dg, dphi = self._degrees
@@ -188,7 +185,7 @@ class FormulaInstantiator:
             groups[y] = groups[y] + term if y in groups else term
         total = RationalPolynomial()
         for y, inner in groups.items():
-            total = total + self._y(y) * inner
+            total = total + (self._y(y) * inner if y else inner)  # Y(()) = 1
         return total
 
 

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 import faadibruno.cli as cli
 from faadibruno.cli import main
-from faadibruno.partitions import DEFAULT_WEIGHT_CAP, enumerate_constrained, enumerate_partitions
+from faadibruno.partitions import (
+    DEFAULT_WEIGHT_CAP,
+    Partition,
+    enumerate_constrained,
+    enumerate_partitions,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -189,6 +194,11 @@ def test_partitions_listing_bytes_unchanged(n, fmt, tmp_path, capsysbinary):
 
 def _rendered_lines(partitions, fmt):
     """Each partition's listing line, rendered from its own parts."""
+    if fmt == "json":
+        # each item's text as json.dumps renders it in a list one level deep
+        head, foot = '{\n  "partitions": [', "\n  ]\n}"
+        items = ({"partitions": [{"parts": list(p.parts)}]} for p in partitions)
+        return "".join(json.dumps(item, indent=2)[len(head) : -len(foot)] for item in items)
     joined = {"csv": " ", "pretty": "+", "latex": "+"}[fmt]
     texts = [joined.join(map(str, p.parts)) for p in partitions]
     if fmt == "csv":
@@ -197,7 +207,7 @@ def _rendered_lines(partitions, fmt):
     return "".join(f"{lead}{text or '0'}{end}\n" for text in texts)
 
 
-LISTING_FORMATS = st.sampled_from(["csv", "pretty", "latex"])
+LISTING_FORMATS = st.sampled_from(["csv", "pretty", "latex", "json"])
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,13 +215,18 @@ LISTING_FORMATS = st.sampled_from(["csv", "pretty", "latex"])
 def test_listing_rendered_along_the_walk_equals_the_per_partition_rendering(n, fmt):
     code, stdout, stderr = run_main(["partitions", "--n", str(n), "--format", fmt])
     assert (code, stderr) == (0, "")
-    expected = _rendered_lines(enumerate_partitions(n), fmt)
+    if fmt == "json":
+        items = [{"parts": list(p.parts)} for p in enumerate_partitions(n)]
+        document = {"n": n, "count": len(items), "partitions": items}
+        expected = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    else:
+        expected = _rendered_lines(enumerate_partitions(n), fmt)
     if fmt == "latex":
         expected = f"\\begin{{tabular}}{{l}}\n{expected}\\end{{tabular}}\n"
     assert stdout.decode("utf-8") == expected
 
 
-@pytest.mark.parametrize("fmt", ["csv", "pretty", "latex"])
+@pytest.mark.parametrize("fmt", ["csv", "pretty", "latex", "json"])
 def test_listing_fold_renders_runs_of_ones_longer_than_the_default_cap(fmt):
     # --cap lets a listing pass weight 64, so the tail of 1s is built from its
     # count; the partitions of 192 into 189 parts end in 186 to 188 ones
@@ -232,47 +247,75 @@ def test_benchmark_listing_matches_its_golden_digest(capsysbinary):
     assert hashlib.sha256(stdout).hexdigest() == golden["digests"][argv]
 
 
-JSON_ITEMS = st.lists(
-    st.fixed_dictionaries(
-        {"r": st.integers(0, 9), "parts": st.lists(st.integers(1, 9)), "coeff": st.text()}
+COEFF_ROWS = st.lists(
+    st.tuples(
+        st.integers(),
+        st.lists(st.integers(1, 10**6), max_size=6).map(lambda p: sorted(p, reverse=True)),
+        st.integers(),
     ),
-    max_size=9,
+    max_size=6,
 )
+STIRLING_ROWS = st.lists(st.tuples(*[st.integers()] * 4), max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
-@given(JSON_ITEMS, st.integers(1, 4))
-def test_json_rows_write_the_bytes_of_the_whole_document(items, batch):
-    # empty, one-item and batch-straddling lists alike; strings keep non-ASCII
-    def frame(rows):
-        return {"n": 3, "count": len(items), "entries": rows}
+@given(COEFF_ROWS, STIRLING_ROWS)
+def test_json_rows_write_the_bytes_of_the_whole_document(coeff_rows, stirling_rows):
+    # each table's json item template on drawn rows: no rows, one row, empty
+    # parts and integers of any size alike
+    tables = [
+        (
+            "coefficient_table",
+            [(r, Partition(parts), c) for r, parts, c in coeff_rows],
+            ["coeff", "--n", "3", "--s", "1"],
+            {
+                "n": 3,
+                "s": 1,
+                "entries": [{"r": r, "parts": p, "coeff": str(c)} for r, p, c in coeff_rows],
+            },
+        ),
+        (
+            "stirling_table",
+            stirling_rows,
+            ["stirling", "--n-max", "2"],
+            {
+                "n_max": 2,
+                "entries": [
+                    {"n": n, "k": k, "r": r, "value": str(v)} for n, k, r, v in stirling_rows
+                ],
+            },
+        ),
+    ]
+    for table, rows, argv, document in tables:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, table, lambda *args, rows=rows, **kwargs: iter(rows))
+            code, stdout, stderr = run_main([*argv, "--format", "json"])
+        assert (code, stderr) == (0, "")
+        assert stdout.decode("utf-8") == json.dumps(document, indent=2, ensure_ascii=False) + "\n"
 
-    whole = json.dumps(frame(items), indent=2, ensure_ascii=False) + "\n"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_JSON_BATCH", batch)
-        assert "".join(cli._json_rows(frame, iter(items))) == whole
 
-
-def test_json_rows_read_one_batch_ahead_of_what_they_write():
+def test_json_rows_read_at_most_one_row_ahead_of_what_they_write():
     read = []
 
-    def items():
-        for k in range(10 * cli._JSON_BATCH):
+    def lines():
+        for k in range(5):
             read.append(k)
-            yield {"k": k}
+            yield f"\n    {k}"
 
-    rows = cli._json_rows(lambda rows: {"entries": rows}, items())
+    rows = cli._json_rows(lambda rows: {"entries": rows}, lines())
     assert next(rows) == '{\n  "entries": '
     assert read == []
-    next(rows)
-    assert len(read) == cli._JSON_BATCH
+    for written in range(1, 6):
+        next(rows)
+        assert len(read) - written in (0, 1)
+    assert list(rows) == ["\n  ]\n}\n"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["partitions", "--n", "3", "--format", "csv"],  # streamed listing
-        ["partitions", "--n", "3", "--format", "json"],  # materialized listing
+        ["partitions", "--n", "3", "--format", "json"],  # streamed document
         ["coeff", "--n", "2", "--s", "1"],
     ],
 )
@@ -471,22 +514,33 @@ def assert_out_file_holds(argv, stdout):
 def test_verified_coeff_mismatch_leaves_the_rows_already_checked(monkeypatch):
     import faadibruno.coefficients as coefficients
 
-    argv = ["coeff", "--n", "3", "--s", "1", "--verify", "--format", "csv"]
-    code, clean, _stderr = run_main(argv)
-    assert code == 0
+    argv = ["coeff", "--n", "3", "--s", "1", "--verify", "--format"]
+    clean = {}
+    for fmt in ("csv", "json"):
+        code, clean[fmt], _stderr = run_main([*argv, fmt])
+        assert code == 0
     real = coefficients.constrained_coefficients
 
     def off_by_one(n, r, s, cap):
         return ((lam, c + (r == 1)) for lam, c in real(n, r, s, cap=cap))
 
     monkeypatch.setattr(coefficients, "constrained_coefficients", off_by_one)
-    code, stdout, stderr = run_main(argv)
-    assert code == 1
-    assert stderr.startswith("verification failure: ") and stderr.count("\n") == 1
+    failed = {}
+    for fmt in ("csv", "json"):
+        code, failed[fmt], stderr = run_main([*argv, fmt])
+        assert code == 1
+        assert stderr.startswith("verification failure: ") and stderr.count("\n") == 1
     # the rows stream out as they are checked: every r = 0 row, then the failure
-    checked = [row for row in clean.splitlines(keepends=True) if row.startswith(b"0,")]
+    checked = [row for row in clean["csv"].splitlines(keepends=True) if row.startswith(b"0,")]
     assert len(checked) == 3
-    assert stdout == b"".join(checked)
+    assert failed["csv"] == b"".join(checked)
+    # the json document ends, unclosed, after the same three items
+    document = json.loads(clean["json"])
+    entries = [entry for entry in document["entries"] if entry["r"] == 0]
+    assert len(entries) == 3
+    whole = json.dumps({**document, "entries": entries}, indent=2, ensure_ascii=False)
+    assert whole.endswith("\n  ]\n}")
+    assert failed["json"].decode("utf-8") == whole[: -len("\n  ]\n}")]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "pretty"])
@@ -523,6 +577,9 @@ def test_row_writer_exits_cleanly_and_out_matches_stdout(argv, fmt, cap):
         assert stdout == b"" and stderr.startswith("error: ")
         return
     assert stdout.endswith(b"\n") and stderr == ""
+    if fmt == "json":
+        text = stdout.decode("utf-8")
+        assert json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n" == text
     assert_out_file_holds(argv, stdout)
 
 

@@ -418,11 +418,3 @@ def test_parts_roundtrip():
     for n in range(9):
         for lam in enumerate_partitions(n):
             assert Partition(lam.parts) == lam
-
-
-def test_json_roundtrip():
-    lam = Partition([4, 2, 2, 1])
-    assert lam.to_json_dict() == {"parts": [4, 2, 2, 1]}
-    assert Partition(lam.to_json_dict()["parts"]) == lam
-    assert Partition([]).to_json_dict() == {"parts": []}
-

@@ -169,8 +169,9 @@ def test_power_stops_squaring_after_the_top_bit(products):
         for _ in range(e):
             expected = expected * base
         assert value == expected
-    # popcount(e) + bit_length(e) - 1 products for e >= 1
-    assert made == [0, 1, 2, 3, 3, 4, 4, 5, 4, 5]
+    # from the base: bit_length(e) - 1 squares and popcount(e) - 1 products by
+    # the base for e >= 1, so no product by 1
+    assert made == [0, 0, 1, 2, 2, 3, 3, 4, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -209,8 +210,9 @@ def test_concrete_oracle_products_at_the_benchmark_grid(products, monkeypatch):
         0,
         None,
     )
-    # one Y per partition and one F_a * G_b per (a, b) pair, per instance
-    assert products[0] == 20840
+    # one Y per partition and one F_a * G_b per (a, b) pair, per instance, and
+    # no product by 1
+    assert products[0] == 13407
 
 
 # Property tests: the integer-numerator representation against the

@@ -2,7 +2,7 @@
 
 import pytest
 
-from faadibruno import bell, coefficients, partitions, symfunc, verification
+from faadibruno import bell, coefficients, diffalg, partitions, symfunc, verification
 from faadibruno.coefficients import IntegralityError, coefficient_table
 from faadibruno.partitions import DEFAULT_WEIGHT_CAP
 
@@ -260,3 +260,46 @@ def test_a_wrong_modification_fails_both_suites_that_read_it(monkeypatch, fault,
         assert (result["instances"], result["failures"]) == (instances, failures), key
         assert result["counterexample"] == witness
         assert result["passed"] is False and report["passed"] is False
+
+
+def _without_3_2(real, n, **kwargs):
+    return (lam for lam in real(n, **kwargs) if lam.parts != (3, 2))
+
+
+def _touchard_3_x_one_too_high(real, n):
+    return tuple(c + (n == 3 and k == 1) for k, c in enumerate(real(n)))
+
+
+def _faa_di_bruno_one_too_high_at_2_1(real, lam):
+    return real(lam) + (lam.parts == (2, 1))
+
+
+# suite key -> (module, name, a single-point fault in that function, the suite's
+# (instances, failures, counterexample) at (7, 3), trials 50, seed 0)
+SINGLE_FAULTS = {
+    "partition_count_matches_dp": (
+        verification,
+        "enumerate_partitions",
+        _without_3_2,
+        (15, 1, {"n": 5, "enumerated": 6, "expected": 7}),
+    ),
+    "touchard_binomial_type": (bell, "touchard", _touchard_3_x_one_too_high, (8, 4, {"n": 4})),
+    "classic_chain_rule_expansion": (
+        diffalg,
+        "faa_di_bruno_coeff",
+        _faa_di_bruno_one_too_high_at_2_1,
+        (8, 1, {"n": 3}),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SINGLE_FAULTS))
+def test_a_single_fault_fails_the_suite_that_checks_it(monkeypatch, key):
+    module, name, fault, expected = SINGLE_FAULTS[key]
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: fault(real, *args, **kwargs))
+    only_suite(monkeypatch, key)
+    report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
+    (result,) = report["identities"]
+    assert (result["instances"], result["failures"], result["counterexample"]) == expected
+    assert result["passed"] is False and report["passed"] is False
