@@ -263,13 +263,13 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
-    item = ('\n    {{\n      "n": {},\n      "k": {},\n      "r": {},'
-            '\n      "value": "{}"\n    }}').format
+    item = ('\n    {{\n      "n": {0[0]},\n      "k": {0[1]},\n      "r": {0[2]},'
+            '\n      "value": "{0[3]}"\n    }}').format
     return _emit_rows(
         stirling_table(args.n_max, cap=args.cap),
         args,
         frame=lambda items: {"n_max": args.n_max, "entries": items},
-        json=lambda e: item(*e),
+        json=item,
         csv="{0[0]},{0[1]},{0[2]},{0[3]}\n".format,
         pretty="S~({0[0]},{0[1]},{0[2]}) = {0[3]}\n".format,
         latex="{0[0]} & {0[1]} & {0[2]} & {0[3]} \\\\\n".format,
