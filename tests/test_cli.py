@@ -178,6 +178,14 @@ PARTITION_LISTING_SHA256 = {
     (12, "pretty"): "cf1f0e63ba24ef5ed086b382b0053836552b4ef0828747f904a08ee18c23fd15",
     # recorded at 1c2eacd, while JSON rows were still dicts run through json
     (50, "json"): "65c80a028108725ce3f4d0f68c6a2cac4da0e7954caaa85f80cf63148163919c",
+    # recorded at d71324f, while every line was still rendered along the walk;
+    # the csv listing at n = 50 is pinned by bench/golden.json
+    (30, "json"): "b3bf0da5b7cbd842c1c01644b7bd7aadbfeaebc3e36f1af5ea12062e8b317a5b",
+    (30, "csv"): "1342a7dbe82d72fc4e459d9831056ff9a2d6072f5e4d3313869b2b4f9aeb20ec",
+    (30, "latex"): "2192909605f08e609a9bcd48df09c0d4288d85f652f29ac88b1061c406760d7b",
+    (30, "pretty"): "9a515b9cf14dad5600b8834a6e518ccc25ead89c920b4195319e24002b6371e1",
+    (50, "latex"): "4a6203e2c4d225f15e5eb787e24c001520f483bb9aa557782202334461073ce0",
+    (50, "pretty"): "394103aaf60ae25bee7abb02f111b58d8e8c90f7a94de72a69916238801fcc14",
 }
 
 
