@@ -18,7 +18,7 @@ from . import verification
 from .bell import modified_partial_bell, stirling_table
 from .coefficients import CrossCheckError, coefficient_table
 from .diffalg import formula_expansion, nth_derivative_expansion
-from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_partitions
+from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded
 from .polynomials import RationalPolynomial, check_main_theorem
 
 FORMATS = ("json", "csv", "latex", "pretty")
@@ -46,6 +46,22 @@ def _polynomial(text: str) -> RationalPolynomial:
         return RationalPolynomial.from_string(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad polynomial literal {text!r}: {exc}") from None
+
+
+# argparse takes a value that starts with "-" for an option unless it is a
+# plain number; after these flags, "-" and a digit open a polynomial literal
+_LITERAL_FLAGS = ("--f", "--g", "--phi")
+
+
+def _join_literals(argv: list[str]) -> list[str]:
+    """argv with each negative literal joined to its flag, as in --f=-1,2."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _LITERAL_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,50 +183,90 @@ def _emit_rows(rows, args, *, frame, json, csv, pretty, latex, tabular, title=()
     return 0
 
 
-def _listing_fold(lead: str, sep: str, end: str, empty: str) -> tuple:
-    """A fold for the partition walk whose values are the listing lines.
+# A listing block is the text of the partitions of m into parts <= k, in walk
+# order: each part preceded by the separator, the lines joined by the delimiter
+# end + between + lead.  The k-led lines are sep + k followed by the block of
+# m - k into parts <= k, a copy of that head after each of its delimiters, so
+# each line is prefixed by one str.replace, not one Python step per partition.
+# Blocks are kept only up to the first weight whose block passes this many
+# bytes, whatever the listing's n; heavier prefixes are walked.
+_BLOCK_BYTES = 1 << 16
+
+
+def _listing_blocks(sep: str, delimiter: str, most: int) -> list:
+    """[(text, starts)] for m = 0, 1, ... up to *most* or the byte bound.
+
+    text is the block of every partition of m; it opens with the m-led
+    lines, so the block of parts <= k is its suffix text[starts[k]:].
+    """
+    blocks = [("", [0])]
+    for m in range(1, most + 1):
+        led, starts, offset = [], [0] * (m + 1), 0
+        for k in range(m, 0, -1):
+            rest, rest_starts = blocks[m - k]
+            head = f"{sep}{k}"
+            lines = head + rest[rest_starts[min(k, m - k)]:].replace(delimiter, delimiter + head)
+            starts[k], offset = offset, offset + len(lines) + len(delimiter)
+            led.append(lines)
+        text = delimiter.join(led)
+        if len(text) > _BLOCK_BYTES:
+            break
+        blocks.append((text, starts))
+    return blocks
+
+
+def _listing_pieces(n: int, lead: str, sep: str, end: str, between: str, empty: str) -> Iterator[str]:
+    """The listing lines of the partitions of n, in walk order, a run of them per piece.
 
     A line is lead, the parts joined by sep, then end; the empty partition's
-    line is *empty*.  The state is the rendered prefix of the parts above 1,
-    each followed by sep, so a shared prefix is rendered once; close adds
-    the trailing 1s, whose tail is built from their count.
+    line is *empty*.  The lines within a piece are joined by *between*.
+    Prefixes whose remainder has a block are rendered from it in one piece;
+    heavier ones are walked on an explicit stack, largest part first, and a
+    remainder of 1s is rendered from its count.
     """
-    one, cut = "1" + sep, -len(sep)
+    if n == 0:
+        yield empty
+        return
+    delimiter = end + between + lead
+    blocks = _listing_blocks(sep, delimiter, n)
+    light = len(blocks) - 1  # the heaviest remainder with a block
+    # (the rendered prefix, the weight left, the largest part allowed)
+    stack = [(str(k), n - k, min(k, n - k)) for k in range(1, n + 1)]
+    while stack:
+        head, m, k = stack.pop()
+        if m <= light:
+            text, starts = blocks[m]
+            yield lead + head + text[starts[k]:].replace(delimiter, delimiter + head) + end
+        elif k == 1:
+            yield lead + head + f"{sep}1" * m + end
+        else:
+            stack.extend((f"{head}{sep}{j}", m - j, min(j, m - j)) for j in range(1, k + 1))
 
-    def push(state, part, _m):
-        return f"{state}{part}{sep}"
 
-    def close(state, ones):
-        body = state + one * ones
-        return f"{lead}{body[:cut]}{end}" if body else empty
-
-    return "", push, close
-
-
-# format -> (lead, separator, end, the empty partition's line) of a listing line;
-# a json line is one item of the document's "partitions" list
+# format -> (lead, separator, end, between, the empty partition's line) of a
+# listing line; a json line is one item of the document's "partitions" list
 _LISTING = {
-    "csv": ("", " ", "\n", "\n"),
-    "pretty": ("", "+", "\n", "0\n"),
-    "latex": ("$", "+", "$ \\\\\n", "$0$ \\\\\n"),
-    "json": ('\n    {\n      "parts": [\n        ', ",\n        ", "\n      ]\n    }",
+    "csv": ("", " ", "\n", "", "\n"),
+    "pretty": ("", "+", "\n", "", "0\n"),
+    "latex": ("$", "+", "$ \\\\\n", "", "$0$ \\\\\n"),
+    "json": ('\n    {\n      "parts": [\n        ', ",\n        ", "\n      ]\n    }", ",",
              '\n    {\n      "parts": []\n    }'),
 }
 
 
 def _cmd_partitions(args) -> int:
-    # every line is rendered along the walk; the json frame takes the count
-    # from the DP before the first line
+    # the json frame takes the count from the DP before the first line
     n = args.n
+    CapExceeded.check(n, args.cap, "partition enumeration")
     return _emit_rows(
-        enumerate_partitions(n, cap=args.cap, fold=_listing_fold(*_LISTING[args.format])),
+        _listing_pieces(n, *_LISTING[args.format]),
         args,
         frame=lambda items: {
             "n": n,
             "count": verification.partition_count_dp(n)[n],
             "partitions": items,
         },
-        **dict.fromkeys(FORMATS, str),  # the rows are the lines
+        **dict.fromkeys(FORMATS, str),  # the rows are runs of lines
         tabular=(r"\begin{tabular}{l}",),
     )
 
@@ -313,7 +369,7 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_literals(sys.argv[1:] if argv is None else argv))
     refused, line = _REFUSED.get(args.command, ((), ""))
     if args.format in refused:
         print(line, file=sys.stderr)

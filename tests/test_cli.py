@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from faadibruno.cli import main
 from faadibruno.partitions import (
     DEFAULT_WEIGHT_CAP,
     Partition,
-    enumerate_constrained,
     enumerate_partitions,
 )
 
@@ -114,6 +114,22 @@ def test_check_subcommand():
     assert report["lhs"] == ["0", "0", "0", "40"]
 
 
+@pytest.mark.parametrize(
+    "f, g, phi", [("-1,2", "1", "-1/2"), ("-3/4", "-2,0,1", "1,1"), ("-1", "0,1", "-0,1")]
+)
+def test_negative_literals_need_no_equals_sign(f, g, phi):
+    order = ["--n", "3", "--s", "1"]
+    spaced = run_main(["check", "--f", f, "--g", g, "--phi", phi, *order])
+    joined = run_main(["check", f"--f={f}", f"--g={g}", f"--phi={phi}", *order])
+    assert spaced == joined and spaced[0] in (0, 1) and spaced[2] == ""
+
+
+def test_a_flag_is_not_read_as_a_literal():
+    code, stdout, stderr = run_main(["check", "--f", "--g", "1", "--phi", "0,1", "--n", "2"])
+    assert (code, stdout) == (2, b"")
+    assert "argument --f: expected one argument" in stderr
+
+
 def test_usage_errors_exit_2():
     run_cli("expand", expect=2)  # missing --n
     run_cli("expand", "--n", "-1", expect=2)
@@ -206,7 +222,7 @@ def _rendered_lines(partitions, fmt):
         # each item's text as json.dumps renders it in a list one level deep
         head, foot = '{\n  "partitions": [', "\n  ]\n}"
         items = ({"partitions": [{"parts": list(p.parts)}]} for p in partitions)
-        return "".join(json.dumps(item, indent=2)[len(head) : -len(foot)] for item in items)
+        return ",".join(json.dumps(item, indent=2)[len(head) : -len(foot)] for item in items)
     joined = {"csv": " ", "pretty": "+", "latex": "+"}[fmt]
     texts = [joined.join(map(str, p.parts)) for p in partitions]
     if fmt == "csv":
@@ -218,8 +234,9 @@ def _rendered_lines(partitions, fmt):
 LISTING_FORMATS = st.sampled_from(["csv", "pretty", "latex", "json"])
 
 
+# past the heaviest remainder the listing renders from a block, in every format
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 25), LISTING_FORMATS)
+@given(st.integers(0, 32), LISTING_FORMATS)
 def test_listing_rendered_along_the_walk_equals_the_per_partition_rendering(n, fmt):
     code, stdout, stderr = run_main(["partitions", "--n", str(n), "--format", fmt])
     assert (code, stderr) == (0, "")
@@ -235,15 +252,33 @@ def test_listing_rendered_along_the_walk_equals_the_per_partition_rendering(n, f
 
 
 @pytest.mark.parametrize("fmt", ["csv", "pretty", "latex", "json"])
-def test_listing_fold_renders_runs_of_ones_longer_than_the_default_cap(fmt):
-    # --cap lets a listing pass weight 64, so the tail of 1s is built from its
-    # count; the partitions of 192 into 189 parts end in 186 to 188 ones
+def test_listing_pieces_past_the_default_cap_match_the_walk(fmt):
+    # --cap lets a listing pass weight 64; its first pieces already walk
+    # prefixes above the blocks and render remainders of 1s from their count
     n = 3 * DEFAULT_WEIGHT_CAP
-    fold = cli._listing_fold(*cli._LISTING[fmt])
-    lines = enumerate_constrained(n, 0, 0, cap=n, length=n - 3, fold=fold)
-    partitions = list(enumerate_constrained(n, 0, 0, cap=n, length=n - 3))
-    assert len(partitions) == 3
-    assert "".join(lines) == _rendered_lines(partitions, fmt)
+    lead, sep, end, between, _empty = cli._LISTING[fmt]
+    text = between.join(islice(cli._listing_pieces(n, *cli._LISTING[fmt]), 200))
+    partitions = islice(enumerate_partitions(n, cap=n), text.count(end))
+    assert text == _rendered_lines(partitions, fmt)
+    # a prefix's last 1 and a block's 1s make a run of at most heaviest + 1
+    heaviest = len(cli._listing_blocks(sep, end + between + lead, n)) - 1
+    assert f"{sep}1" * (heaviest + 2) in text
+
+
+def test_listing_work_is_pinned_without_a_clock(monkeypatch):
+    # pieces written, not lines: one per prefix whose remainder has a block;
+    # the memo's blocks: as many at n = 64 as at n = 50, none over the bound
+    real = cli._listing_blocks
+    memos, written = [], []
+    monkeypatch.setattr(cli, "_listing_blocks", lambda *args: memos.append(real(*args)) or memos[-1])
+    monkeypatch.setattr(cli, "_write", lambda chunks, out: written.append(sum(1 for _ in chunks)))
+    for fmt in ("csv", "json"):
+        for n in (50, 64):
+            assert main(["partitions", "--n", str(n), "--format", fmt]) == 0
+    assert written[0] == 1965
+    csv50, csv64, json50, json64 = map(len, memos)
+    assert (csv50, json50) == (csv64, json64) == (28, 20)
+    assert max(len(text) for memo in memos for text, _ in memo) <= cli._BLOCK_BYTES
 
 
 def test_benchmark_listing_matches_its_golden_digest(capsysbinary):
@@ -630,9 +665,9 @@ POLYNOMIAL_LITERAL = st.lists(
 ).map(lambda coeffs: ",".join(map(str, coeffs)))
 REPORT_ARGV = st.one_of(
     st.builds(
-        # joined with "=", as a literal may start with a minus sign
+        # spaced from its flag, though a literal may start with a minus sign
         lambda f, g, phi, n, s: [
-            "check", f"--f={f}", f"--g={g}", f"--phi={phi}", "--n", str(n), "--s", str(s)
+            "check", "--f", f, "--g", g, "--phi", phi, "--n", str(n), "--s", str(s)
         ],
         POLYNOMIAL_LITERAL,
         POLYNOMIAL_LITERAL,

@@ -274,6 +274,18 @@ def _faa_di_bruno_one_too_high_at_2_1(real, lam):
     return real(lam) + (lam.parts == (2, 1))
 
 
+def _c_coeff_one_too_high_at(r, s):
+    # C((2, 1), r, s) one too high, every other coefficient as it is
+    def fault(real, lam, r_, s_):
+        return real(lam, r_, s_) + (lam.parts == (2, 1) and (r_, s_) == (r, s))
+
+    return fault
+
+
+def _stirling_convolution_one_too_high_at_3_2_1(real, n, k, r):
+    return real(n, k, r) + ((n, k, r) == (3, 2, 1))
+
+
 # suite key -> (module, name, a single-point fault in that function, the suite's
 # (instances, failures, counterexample) at (7, 3), trials 50, seed 0)
 SINGLE_FAULTS = {
@@ -289,6 +301,24 @@ SINGLE_FAULTS = {
         "faa_di_bruno_coeff",
         _faa_di_bruno_one_too_high_at_2_1,
         (8, 1, {"n": 3}),
+    ),
+    "binomial_specialization_s0": (
+        verification,
+        "c_coeff",
+        _c_coeff_one_too_high_at(1, 0),
+        (176, 1, {"lam": [2, 1], "r": 1}),
+    ),
+    "coefficient_r0_reduction": (
+        verification,
+        "c_coeff",
+        _c_coeff_one_too_high_at(0, 2),
+        (180, 1, {"lam": [2, 1], "s": 2}),
+    ),
+    "stirling_convolution_corrected": (
+        bell,
+        "stirling_convolution",
+        _stirling_convolution_one_too_high_at_3_2_1,
+        (120, 1, {"n": 3, "k": 2, "r": 1}),
     ),
 }
 
