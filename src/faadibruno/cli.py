@@ -188,6 +188,7 @@ def _emit_rows(rows, args, *, frame, json, csv, pretty, latex, tabular, title=()
 # end + between + lead.  The k-led lines are sep + k followed by the block of
 # m - k into parts <= k, a copy of that head after each of its delimiters, so
 # each line is prefixed by one str.replace, not one Python step per partition.
+# No delimiter occurs inside a line, which holds only digits and separators.
 # Blocks are kept only up to the first weight whose block passes this many
 # bytes, whatever the listing's n; heavier prefixes are walked.
 _BLOCK_BYTES = 1 << 16
@@ -215,7 +216,9 @@ def _listing_blocks(sep: str, delimiter: str, most: int) -> list:
     return blocks
 
 
-def _listing_pieces(n: int, lead: str, sep: str, end: str, between: str, empty: str) -> Iterator[str]:
+def _listing_pieces(
+    n: int, lead: str, sep: str, end: str, between: str, empty: str
+) -> Iterator[str]:
     """The listing lines of the partitions of n, in walk order, a run of them per piece.
 
     A line is lead, the parts joined by sep, then end; the empty partition's

@@ -234,7 +234,7 @@ def _rendered_lines(partitions, fmt):
 LISTING_FORMATS = st.sampled_from(["csv", "pretty", "latex", "json"])
 
 
-# past the heaviest remainder the listing renders from a block, in every format
+# n up to 32 passes the heaviest block of every format (weight 19 to 27)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 32), LISTING_FORMATS)
 def test_listing_rendered_along_the_walk_equals_the_per_partition_rendering(n, fmt):
@@ -266,18 +266,23 @@ def test_listing_pieces_past_the_default_cap_match_the_walk(fmt):
 
 
 def test_listing_work_is_pinned_without_a_clock(monkeypatch):
-    # pieces written, not lines: one per prefix whose remainder has a block;
-    # the memo's blocks: as many at n = 64 as at n = 50, none over the bound
-    real = cli._listing_blocks
-    memos, written = [], []
-    monkeypatch.setattr(cli, "_listing_blocks", lambda *args: memos.append(real(*args)) or memos[-1])
+    # one piece per prefix whose remainder has a block, where a listing written
+    # line by line would write 204,226; and the memo holds as many blocks at
+    # n = 64 as at n = 50, none over the byte bound
+    real, memos, written = cli._listing_blocks, [], []
+
+    def blocks(*args):
+        memos.append(real(*args))
+        return memos[-1]
+
+    monkeypatch.setattr(cli, "_listing_blocks", blocks)
     monkeypatch.setattr(cli, "_write", lambda chunks, out: written.append(sum(1 for _ in chunks)))
+    assert main(["partitions", "--n", "50", "--format", "csv"]) == 0
+    assert written == [1965]
     for fmt in ("csv", "json"):
         for n in (50, 64):
-            assert main(["partitions", "--n", str(n), "--format", fmt]) == 0
-    assert written[0] == 1965
-    csv50, csv64, json50, json64 = map(len, memos)
-    assert (csv50, json50) == (csv64, json64) == (28, 20)
+            next(cli._listing_pieces(n, *cli._LISTING[fmt]))
+    assert list(map(len, memos)) == [28, 28, 28, 20, 20]
     assert max(len(text) for memo in memos for text, _ in memo) <= cli._BLOCK_BYTES
 
 
