@@ -486,6 +486,12 @@ OUTPUT_SHA256 = {
         "d189476825a479db6c7d813e1203d71fc6ce11a79cdfc827f7eda8e750a25717",
     "coeff --n 12 --s 3 --verify --format json":
         "b0416a3b28beacae36ccdfd3a0f61885b99372342c15749fa5ee5936b6d48029",
+    # a polynomial with no terms, and one whose y and z maps are empty,
+    # recorded at 44cd6a6, while terms were still encoded as dicts
+    "bell --n 2 --k 3 --format json":
+        "40610d5e33cc3ccfca0e5ba604e882a0fdfc43a2bb8176a2cd23941cb3339adf",
+    "expand --n 0 --s 0 --format json":
+        "127daf490a9cf4a6ee7b78ad03e48eefa5e249659fbdef54f6629ce579ac85ce",
 }
 
 
@@ -557,6 +563,30 @@ def assert_out_file_holds(argv, stdout):
         target = Path(tmp) / "out"
         assert run_main([*argv, "--out", str(target)]) == (0, b"", "")
         assert target.read_bytes() == stdout
+
+
+def test_verified_expansion_mismatch_writes_the_difference(monkeypatch):
+    # the closed formula one too high on its first term, in terms() order; the
+    # document's bytes were recorded at 44cd6a6, while it was a dict encoded whole
+    from faadibruno.diffalg import DiffPolynomial
+
+    real = cli.formula_expansion
+
+    def first_term_one_too_high(n, s, cap):
+        poly = real(n, s, cap=cap)
+        (mono, _coeff), *_rest = poly.terms()
+        return poly + DiffPolynomial.term(mono)
+
+    monkeypatch.setattr(cli, "formula_expansion", first_term_one_too_high)
+    argv = ["expand", "--n", "4", "--s", "2", "--verify", "--format", "json"]
+    code, stdout, stderr = run_main(argv)
+    assert (code, len(stdout), stderr) == (1, 175, "")
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "2893250f1dac865982ddec2690a6d2ab6807efb5500de342efd7a2d27c26c104"
+    )
+    assert json.loads(stdout)["difference"] == [
+        {"f": 4, "g": 0, "y": {"1": 4}, "z": {}, "coeff": "1"}
+    ]
 
 
 def test_verified_coeff_mismatch_leaves_the_rows_already_checked(monkeypatch):

@@ -2,7 +2,15 @@
 
 import pytest
 
-from faadibruno import bell, coefficients, diffalg, partitions, symfunc, verification
+from faadibruno import (
+    bell,
+    coefficients,
+    diffalg,
+    partitions,
+    polynomials,
+    symfunc,
+    verification,
+)
 from faadibruno.coefficients import IntegralityError, coefficient_table
 from faadibruno.partitions import DEFAULT_WEIGHT_CAP
 
@@ -262,6 +270,31 @@ def test_a_wrong_modification_fails_both_suites_that_read_it(monkeypatch, fault,
         assert result["passed"] is False and report["passed"] is False
 
 
+def test_a_wrong_derivation_step_fails_both_suites_that_derive_in_composed_mode(monkeypatch):
+    # the composed step from n = 1 to n = 2 at s = 1 drops its first term, in
+    # terms() order; the n-fold derivatives of F0*G0 above it inherit the loss,
+    # and the constant-g derivation never takes that step
+    real = diffalg.derive
+    first = real(diffalg.DiffPolynomial.term(diffalg.DiffMonomial(0, 0, (), ())), "composed", 1)
+
+    def wrong(poly, mode="composed", s=0):
+        out = real(poly, mode, s)
+        if (mode, s) == ("composed", 1) and poly == first:
+            return diffalg.DiffPolynomial(out.terms()[1:])
+        return out
+
+    monkeypatch.setattr(diffalg, "derive", wrong)
+    suites = verification.SUITES
+    for key, expected in {
+        "derivative_oracle_matches_formula": (32, 6, {"n": 2, "s": 1}),
+        "psi_substitution_bridge": (32, 6, {"n": 2, "s": 1}),
+        "classic_chain_rule_expansion": (8, 0, None),
+    }.items():
+        monkeypatch.setattr(verification, "SUITES", tuple(e for e in suites if e[0] == key))
+        (result,) = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)["identities"]
+        assert (result["instances"], result["failures"], result["counterexample"]) == expected
+
+
 def _without_3_2(real, n, **kwargs):
     return (lam for lam in real(n, **kwargs) if lam.parts != (3, 2))
 
@@ -284,6 +317,19 @@ def _c_coeff_one_too_high_at(r, s):
 
 def _stirling_convolution_one_too_high_at_3_2_1(real, n, k, r):
     return real(n, k, r) + ((n, k, r) == (3, 2, 1))
+
+
+def _first_term_one_too_high_when(point):
+    # the polynomial's first monomial, in terms() order, one too high where
+    # point(*args) holds, every other result as it is
+    def fault(real, *args, **kwargs):
+        poly = real(*args, **kwargs)
+        if not point(*args):
+            return poly
+        (mono, _coeff), *_rest = poly.terms()
+        return poly + diffalg.DiffPolynomial.term(mono)
+
+    return fault
 
 
 # suite key -> (module, name, a single-point fault in that function, the suite's
@@ -319,6 +365,43 @@ SINGLE_FAULTS = {
         "stirling_convolution",
         _stirling_convolution_one_too_high_at_3_2_1,
         (120, 1, {"n": 3, "k": 2, "r": 1}),
+    ),
+    "derivative_oracle_matches_formula": (
+        diffalg,
+        "formula_expansion",
+        _first_term_one_too_high_when(lambda n, s: (n, s) == (2, 1)),
+        (32, 1, {"n": 2, "s": 1}),
+    ),
+    "random_polynomial_instances": (
+        polynomials,
+        "formula_expansion",
+        _first_term_one_too_high_when(lambda n, s: (n, s) == (2, 1)),
+        (
+            1050,
+            25,
+            {
+                "trial": 0,
+                "n": 2,
+                "s": 1,
+                "f": ["2", "-3", "2/5", "1/8"],
+                "g": ["-1/9", "-8/5", "-2", "-7/6"],
+                "phi": ["-4/5", "4/7"],
+            },
+        ),
+    ),
+    "product_rule_expansion": (
+        diffalg,
+        "leibniz_product_expansion",
+        _first_term_one_too_high_when(lambda n: n == 2),
+        (8, 1, {"n": 2}),
+    ),
+    "psi_substitution_bridge": (
+        diffalg,
+        "substitute_psi",
+        _first_term_one_too_high_when(
+            lambda poly, s: s == 1 and poly == diffalg.leibniz_product_expansion(2)
+        ),
+        (32, 1, {"n": 2, "s": 1}),
     ),
 }
 
