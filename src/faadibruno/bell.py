@@ -74,12 +74,6 @@ class YPolynomial(SparsePolynomial):
             _accumulate(out, (term_weighted_degree(exps), term_degree(exps)), coeff)
         return out
 
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"y": {str(i): e for i, e in exps}, "coeff": str(coeff)}
-            for exps, coeff in self.terms()
-        ]
-
 
 def _capped_cache(body):
     """Memoize body(n, *rest) and refuse n > cap before the cache is consulted.

@@ -126,12 +126,6 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
             handle.writelines(data)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    _write((text,), out)
-
-
 # json.dumps(data, indent=2, ensure_ascii=False), with one encoder for every call
 _JSON = json.JSONEncoder(indent=2, ensure_ascii=False)
 _json_text = _JSON.encode
@@ -154,9 +148,24 @@ def _json_rows(frame, lines) -> Iterator[str]:
     yield f"{close}{foot}\n"
 
 
-def _json_parts(parts) -> str:
-    # a parts list as json.dumps with indent 2 renders it in a field of a list item
-    return "[\n        " + ",\n        ".join(map(str, parts)) + "\n      ]" if parts else "[]"
+def _json_field(values, brackets="[]") -> str:
+    # a list of numbers, or with brackets "{}" an exponent map ((index, exponent),
+    # ...) as the object {"index": exponent}, as json.dumps with indent 2 renders
+    # it in a field of a list item
+    if not values:
+        return brackets
+    line = str if brackets == "[]" else '"{0[0]}": {0[1]}'.format
+    lines = ",\n        ".join(map(line, values))
+    return f"{brackets[0]}\n        {lines}\n      {brackets[1]}"
+
+
+# The json item of an expansion term (monomial, coefficient).  Every term the
+# CLI writes has integer f and g orders: an expansion monomial carries one F
+# and one G factor.
+def _diff_item(term) -> str:
+    (f, g, y, z), coeff = term
+    return (f'\n    {{\n      "f": {f},\n      "g": {g},\n      "y": {_json_field(y, "{}")},'
+            f'\n      "z": {_json_field(z, "{}")},\n      "coeff": "{coeff}"\n    }}')
 
 
 def _emit_rows(rows, args, *, frame, json, csv, pretty, latex, tabular, title=()) -> int:
@@ -274,12 +283,13 @@ def _cmd_partitions(args) -> int:
     )
 
 
-def _emit_polynomial(poly, header: dict, args) -> int:
+def _emit_polynomial(poly, header: dict, item, args) -> int:
+    # json writes {**header, "terms": [item(term), ...]}, one term at a time
     if args.format == "json":
-        text = _json_text({**header, "terms": poly.to_json_list()})
+        text = _json_rows(lambda items: {**header, "terms": items}, map(item, poly.terms()))
     else:
-        text = poly.latex() if args.format == "latex" else poly.pretty()
-    _emit(text, args.out)
+        text = (poly.latex() if args.format == "latex" else poly.pretty(), "\n")
+    _write(text, args.out)
     return 0
 
 
@@ -290,7 +300,7 @@ def _cmd_coeff(args) -> int:
         coefficient_table(n, s, verify=args.verify, cap=args.cap),
         args,
         frame=lambda items: {"n": n, "s": s, "entries": items},
-        json=lambda e: item(e[0], _json_parts(e[1].parts), e[2]),
+        json=lambda e: item(e[0], _json_field(e[1].parts), e[2]),
         csv=lambda e: f"{e[0]},{' '.join(map(str, e[1].parts))},{e[2]}\n",
         pretty=lambda e: f"  r={e[0]}  {'+'.join(map(str, e[1].parts)) or '0':<18} {e[2]}\n",
         latex=lambda e: f"{e[0]} & ({', '.join(map(str, e[1].parts))}) & {e[2]} \\\\\n",
@@ -304,21 +314,18 @@ def _cmd_expand(args) -> int:
     if args.verify:
         oracle = nth_derivative_expansion(args.n, args.s, cap=args.cap)
         if expansion != oracle:
-            diff = expansion - oracle
-            _emit(
-                _json_text(
-                    {"equal": False, "n": args.n, "s": args.s, "difference": diff.to_json_list()}
-                ),
-                args.out,
-            )
+            head = {"equal": False, "n": args.n, "s": args.s}
+            terms = map(_diff_item, (expansion - oracle).terms())
+            _write(_json_rows(lambda items: {**head, "difference": items}, terms), args.out)
             return 1
-    return _emit_polynomial(expansion, {"n": args.n, "s": args.s}, args)
+    return _emit_polynomial(expansion, {"n": args.n, "s": args.s}, _diff_item, args)
 
 
 def _cmd_bell(args) -> int:
     poly = modified_partial_bell(args.n, args.k, args.r, args.s, cap=args.cap)
     header = {"n": args.n, "k": args.k, "r": args.r, "s": args.s}
-    return _emit_polynomial(poly, header, args)
+    item = '\n    {{\n      "y": {},\n      "coeff": "{}"\n    }}'.format
+    return _emit_polynomial(poly, header, lambda t: item(_json_field(t[0], "{}"), t[1]), args)
 
 
 def _cmd_stirling(args) -> int:
@@ -338,7 +345,7 @@ def _cmd_stirling(args) -> int:
 
 def _cmd_check(args) -> int:
     report = check_main_theorem(args.f, args.g, args.phi, args.n, args.s, cap=args.cap)
-    _emit(_json_text(report), args.out)
+    _write((_json_text(report), "\n"), args.out)
     return 0 if report["equal"] else 1
 
 
@@ -346,7 +353,7 @@ def _cmd_verify(args) -> int:
     report = verification.run_all(
         max_n=args.max_n, max_s=args.max_s, seed=args.seed, trials=args.trials, cap=args.cap
     )
-    _emit(_json_text(report), args.out)
+    _write((_json_text(report), "\n"), args.out)
     return 0 if report["passed"] else 1
 
 

@@ -20,9 +20,10 @@ same as order zero.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product
 from math import comb, prod
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .coefficients import coefficient_table, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_partitions
@@ -46,8 +47,7 @@ def monomial(
     for order in (f_order, g_order):
         if order is not None and order < 0:
             raise ValueError("derivative orders must be non-negative")
-    ymap = dict(y) if not isinstance(y, dict) else y
-    zmap = dict(z) if not isinstance(z, dict) else z
+    ymap, zmap = dict(y), dict(z)
     for family in (ymap, zmap):
         for i, e in family.items():
             if i < 1 or e < 0:
@@ -67,12 +67,10 @@ def _pretty_term(mono: DiffMonomial, coeff: int) -> str:
         factors.append(_order_marks("f", mono.f_order))
     if mono.g_order is not None:
         factors.append(_order_marks("g", mono.g_order))
-    for i, e in mono.y:
-        sym = _order_marks("φ", i)
-        factors.append(sym if e == 1 else f"{sym}^{e}")
-    for i, e in mono.z:
-        sym = _order_marks("ψ", i)
-        factors.append(sym if e == 1 else f"{sym}^{e}")
+    for base, exps in (("φ", mono.y), ("ψ", mono.z)):
+        for i, e in exps:
+            sym = _order_marks(base, i)
+            factors.append(sym if e == 1 else f"{sym}^{e}")
     body = "·".join(factors) if factors else "1"
     if coeff == 1:
         return body
@@ -132,20 +130,6 @@ class DiffPolynomial(SparsePolynomial):
         g = m1.g_order if m1.g_order is not None else m2.g_order
         return DiffMonomial(f, g, _merge(m1.y, m2.y), _merge(m1.z, m2.z))
 
-    def to_json_list(self) -> list[dict]:
-        out = []
-        for mono, coeff in self.terms():
-            out.append(
-                {
-                    "f": mono.f_order,
-                    "g": mono.g_order,
-                    "y": {str(i): e for i, e in mono.y},
-                    "z": {str(i): e for i, e in mono.z},
-                    "coeff": str(coeff),
-                }
-            )
-        return out
-
 
 # -- the derivation -------------------------------------------------------
 
@@ -189,7 +173,13 @@ def derive(poly: DiffPolynomial, mode: str = "composed", s: int = 0) -> DiffPoly
     return DiffPolynomial(terms())
 
 
-_SEED = DiffMonomial(0, 0, (), ())
+def derivative_chain(n_max: int, mode: str = "composed", s: int = 0) -> Iterator[DiffPolynomial]:
+    """F_0 G_0, then its n-fold derivations in *mode* for n = 1..n_max, each when asked for."""
+    poly = DiffPolynomial.term(DiffMonomial(0, 0, (), ()))
+    yield poly
+    for _ in range(n_max):
+        poly = derive(poly, mode, s)
+        yield poly
 
 
 def nth_derivative_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
@@ -197,10 +187,7 @@ def nth_derivative_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> D
     if n < 0 or s < 0:
         raise ValueError("n and s must be non-negative")
     CapExceeded.check(n * (1 + s), cap, f"oracle expansion (n={n}, s={s})")
-    poly = DiffPolynomial.term(_SEED)
-    for _ in range(n):
-        poly = derive(poly, "composed", s)
-    return poly
+    return deque(derivative_chain(n, "composed", s), maxlen=1).pop()
 
 
 def formula_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:

@@ -251,16 +251,12 @@ def modifications(parts: tuple[int, ...]) -> Iterator[tuple]:
         end = start
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP, fold=None) -> Iterator:
-    """All partitions of n, in decreasing lexicographic order of the summand sequence.
-
-    With *fold*, each item is the fold value instead, as in
-    :func:`enumerate_constrained`.
-    """
+def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Partition]:
+    """All partitions of n, in decreasing lexicographic order of the summand sequence."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     CapExceeded.check(n, cap, "partition enumeration")
-    return _descending(n, 0, 0, None, fold or PARTITION_FOLD)
+    return _descending(n, 0, 0, None, PARTITION_FOLD)
 
 
 def enumerate_constrained(

@@ -37,8 +37,6 @@ def newton_residuals(b: tuple[int, ...], r_max: int) -> tuple[int, ...]:
     elementary_moments pass and p_1..p_{r_max} from one pass of running
     powers, whatever r_max is; r_max == 0 gives ().
     """
-    if r_max < 0:
-        raise ValueError("r_max must be non-negative")
     e = elementary_moments(b, r_max)
     signed = [0] * (r_max + 1)  # index k -> (-1)^(k-1) p_k
     for x in b:

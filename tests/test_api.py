@@ -4,6 +4,7 @@ somewhere inside the package, and the rule that no layer module reads another la
 private names."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -71,17 +72,22 @@ def test_tables_are_streams_and_the_removed_methods_stay_removed():
     # the unit is YPolynomial({(): 1}); a coefficient is looked up under its sorted key
     assert not hasattr(faadibruno.YPolynomial, "one")
     assert "coefficient" not in vars(faadibruno.YPolynomial)
+    # json items are rendered by the CLI alone
+    for poly in (faadibruno.YPolynomial, faadibruno.DiffPolynomial):
+        assert not hasattr(poly, "to_json_list")
 
 
 def test_a_folding_enumeration_yields_fold_values_alone(monkeypatch):
     # a folding walk yielded (partition, value) pairs before; now it yields the
-    # value alone and builds no Partition on the way
+    # value alone and builds no Partition on the way.  At r = s = 0 the
+    # constrained walk is the walk over every partition of n, which takes no fold
+    assert "fold" not in inspect.signature(faadibruno.enumerate_partitions).parameters
     def no_partition(cls, *args):
         raise AssertionError("a folding walk built a Partition")
 
     monkeypatch.setattr(faadibruno.Partition, "_make", classmethod(no_partition))
     fold = ("", lambda state, part, m: f"{state}{part}^{m} ", lambda state, ones: (state, ones))
-    assert list(faadibruno.enumerate_partitions(4, fold=fold)) == [
+    assert list(faadibruno.enumerate_constrained(4, 0, 0, fold=fold)) == [
         ("4^1 ", 0),
         ("3^1 ", 1),
         ("2^1 2^2 ", 0),

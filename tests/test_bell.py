@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -21,6 +22,7 @@ from faadibruno.bell import (
     term_weighted_degree,
     touchard,
 )
+from faadibruno.cli import main
 from faadibruno.partitions import CapExceeded
 
 from helpers import exponents_mul, stirling_triangular, terms_add, terms_mul, terms_scale
@@ -296,10 +298,13 @@ def test_ypolynomial_algebra():
         YPolynomial.variable(0)
 
 
-def test_ypolynomial_rendering():
+def test_ypolynomial_rendering(capsysbinary):
     poly = partial_bell(4, 2)
     assert poly.pretty() == "4·y1·y3 + 3·y2^2"
-    assert poly.to_json_list() == [
+    # the json items are the CLI's, of the same polynomial at r = s = 0; their
+    # bytes are pinned in test_cli.py
+    assert main(["bell", "--n", "4", "--k", "2", "--format", "json"]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["terms"] == [
         {"y": {"1": 1, "3": 1}, "coeff": "4"},
         {"y": {"2": 2}, "coeff": "3"},
     ]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faadibruno.bell import YPolynomial
+from faadibruno.cli import main
 from faadibruno.diffalg import (
     DiffMonomial,
     DiffPolynomial,
@@ -201,11 +203,12 @@ def test_cap_enforced():
         faa_expansion(100)
 
 
-def test_pretty_and_json_rendering():
+def test_pretty_and_json_rendering(capsysbinary):
     expansion = formula_expansion(1, 1)
     assert expansion.pretty() == "f'·g·φ' + f·g'·φ''"
-    data = expansion.to_json_list()
-    assert data == [
+    # the json items are the CLI's; their bytes are pinned in test_cli.py
+    assert main(["expand", "--n", "1", "--s", "1", "--format", "json"]) == 0
+    assert json.loads(capsysbinary.readouterr().out)["terms"] == [
         {"f": 1, "g": 0, "y": {"1": 1}, "z": {}, "coeff": "1"},
         {"f": 0, "g": 1, "y": {"2": 1}, "z": {}, "coeff": "1"},
     ]

@@ -233,11 +233,12 @@ def _pushes_expected(partitions):
 def test_listing_walk_places_one_part_per_partition_but_one():
     # a deterministic work count: every partition with a part above 1 is its
     # own prefix, so the walk places exactly its smallest such part once for
-    # it, and nothing for 1^n (or for the empty partition)
+    # it, and nothing for 1^n (or for the empty partition); at r = s = 0 the
+    # constrained walk is the walk over every partition of n
     counts = partition_count_dp(50)
     for n in [*range(31), 50]:
         pushed, fold = _counting_fold()
-        values = list(enumerate_partitions(n, fold=fold))
+        values = list(enumerate_constrained(n, 0, 0, fold=fold))
         assert len(values) == counts[n]
         assert pushed[0] == counts[n] - 1, n
         if n <= 20:
