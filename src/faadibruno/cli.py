@@ -134,7 +134,7 @@ _json_text = _JSON.encode
 def _json_rows(frame, lines) -> Iterator[str]:
     """The text of _json_text(frame(list of items)) + newline, one item line at a time.
 
-    frame is a top-level object whose values are numbers and the item list,
+    frame is a top-level object whose values are scalars and the item list,
     so the list sits one level deep; each of *lines* is one item's text at
     that depth, from the line break before it, and they are joined by commas.
     """
