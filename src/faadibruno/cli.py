@@ -2,8 +2,8 @@
 Bell/Stirling output, concrete checks, and the verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or resource error
-(including cap violations and an unwritable --out file).  Output is
-byte-deterministic for identical flags and seed.
+(including cap violations, an unwritable --out file and running out of
+memory).  Output is byte-deterministic for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -14,12 +14,8 @@ import sys
 from itertools import chain
 from typing import Iterable, Iterator
 
-from . import verification
-from .bell import modified_partial_bell, stirling_table
-from .coefficients import CrossCheckError, coefficient_table
-from .diffalg import formula_expansion, nth_derivative_expansion
-from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded
-from .polynomials import RationalPolynomial, check_main_theorem
+# each handler imports the modules it runs, so a command loads no other layer
+from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, partition_count_dp
 
 FORMATS = ("json", "csv", "latex", "pretty")
 
@@ -41,7 +37,8 @@ def _positive(text: str) -> int:
     return value
 
 
-def _polynomial(text: str) -> RationalPolynomial:
+def _polynomial(text: str):
+    from .polynomials import RationalPolynomial
     try:
         return RationalPolynomial.from_string(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -275,7 +272,7 @@ def _cmd_partitions(args) -> int:
         args,
         frame=lambda items: {
             "n": n,
-            "count": verification.partition_count_dp(n)[n],
+            "count": partition_count_dp(n)[n],
             "partitions": items,
         },
         **dict.fromkeys(FORMATS, str),  # the rows are runs of lines
@@ -294,22 +291,28 @@ def _emit_polynomial(poly, header: dict, item, args) -> int:
 
 
 def _cmd_coeff(args) -> int:
+    from .coefficients import CrossCheckError, coefficient_table
     n, s = args.n, args.s
     item = '\n    {{\n      "r": {},\n      "parts": {},\n      "coeff": "{}"\n    }}'.format
-    return _emit_rows(
-        coefficient_table(n, s, verify=args.verify, cap=args.cap),
-        args,
-        frame=lambda items: {"n": n, "s": s, "entries": items},
-        json=lambda e: item(e[0], _json_field(e[1].parts), e[2]),
-        csv=lambda e: f"{e[0]},{' '.join(map(str, e[1].parts))},{e[2]}\n",
-        pretty=lambda e: f"  r={e[0]}  {'+'.join(map(str, e[1].parts)) or '0':<18} {e[2]}\n",
-        latex=lambda e: f"{e[0]} & ({', '.join(map(str, e[1].parts))}) & {e[2]} \\\\\n",
-        title=(f"n={n} s={s}",),
-        tabular=(r"\begin{tabular}{rll}", r"$r$ & $\lambda$ & $C$ \\ \hline"),
-    )
+    try:
+        return _emit_rows(
+            coefficient_table(n, s, verify=args.verify, cap=args.cap),
+            args,
+            frame=lambda items: {"n": n, "s": s, "entries": items},
+            json=lambda e: item(e[0], _json_field(e[1].parts), e[2]),
+            csv=lambda e: f"{e[0]},{' '.join(map(str, e[1].parts))},{e[2]}\n",
+            pretty=lambda e: f"  r={e[0]}  {'+'.join(map(str, e[1].parts)) or '0':<18} {e[2]}\n",
+            latex=lambda e: f"{e[0]} & ({', '.join(map(str, e[1].parts))}) & {e[2]} \\\\\n",
+            title=(f"n={n} s={s}",),
+            tabular=(r"\begin{tabular}{rll}", r"$r$ & $\lambda$ & $C$ \\ \hline"),
+        )
+    except CrossCheckError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
 
 
 def _cmd_expand(args) -> int:
+    from .diffalg import formula_expansion, nth_derivative_expansion
     expansion = formula_expansion(args.n, args.s, cap=args.cap)
     if args.verify:
         oracle = nth_derivative_expansion(args.n, args.s, cap=args.cap)
@@ -322,6 +325,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_bell(args) -> int:
+    from .bell import modified_partial_bell
     poly = modified_partial_bell(args.n, args.k, args.r, args.s, cap=args.cap)
     header = {"n": args.n, "k": args.k, "r": args.r, "s": args.s}
     item = '\n    {{\n      "y": {},\n      "coeff": "{}"\n    }}'.format
@@ -329,6 +333,7 @@ def _cmd_bell(args) -> int:
 
 
 def _cmd_stirling(args) -> int:
+    from .bell import stirling_table
     item = ('\n    {{\n      "n": {0[0]},\n      "k": {0[1]},\n      "r": {0[2]},'
             '\n      "value": "{0[3]}"\n    }}').format
     return _emit_rows(
@@ -344,13 +349,15 @@ def _cmd_stirling(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .polynomials import check_main_theorem
     report = check_main_theorem(args.f, args.g, args.phi, args.n, args.s, cap=args.cap)
     _write((_json_text(report), "\n"), args.out)
     return 0 if report["equal"] else 1
 
 
 def _cmd_verify(args) -> int:
-    report = verification.run_all(
+    from .verification import run_all
+    report = run_all(
         max_n=args.max_n, max_s=args.max_s, seed=args.seed, trials=args.trials, cap=args.cap
     )
     _write((_json_text(report), "\n"), args.out)
@@ -386,14 +393,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
-    except CapExceeded as exc:
+    except (ValueError, OSError, RecursionError) as exc:  # CapExceeded is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CrossCheckError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -259,6 +259,16 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Part
     return _descending(n, 0, 0, None, PARTITION_FOLD)
 
 
+def partition_count_dp(n_max: int) -> list[int]:
+    # Euler generating-function style DP, independent of the enumerator
+    counts = [0] * (n_max + 1)
+    counts[0] = 1
+    for part in range(1, n_max + 1):
+        for total in range(part, n_max + 1):
+            counts[total] += counts[total - part]
+    return counts
+
+
 def enumerate_constrained(
     n: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP, length: int | None = None, fold=None
 ) -> Iterator:

@@ -35,18 +35,9 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     modifications,
+    partition_count_dp,
 )
 from .sparse import _accumulate
-
-
-def partition_count_dp(n_max: int) -> list[int]:
-    # Euler generating-function style DP, independent of the enumerator
-    counts = [0] * (n_max + 1)
-    counts[0] = 1
-    for part in range(1, n_max + 1):
-        for total in range(part, n_max + 1):
-            counts[total] += counts[total - part]
-    return counts
 
 
 def _all_partitions_upto(n_max: int) -> list[Partition]:

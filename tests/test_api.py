@@ -4,7 +4,11 @@ somewhere inside the package, and the rule that no layer module reads another la
 private names."""
 
 import ast
+import importlib
 import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -56,13 +60,46 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    # submodules become package attributes once imported, so they are not counted
+    # the package loads a name from its defining module on first use; dir() and
+    # __all__ list every public name before that, and submodules are not counted
     exported = {
         name
-        for name, obj in vars(faadibruno).items()
-        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+        for name in dir(faadibruno)
+        if not name.startswith("_") and not isinstance(getattr(faadibruno, name), types.ModuleType)
     }
-    assert exported == PUBLIC_NAMES
+    assert exported == set(faadibruno.__all__) == set(faadibruno._EXPORTS) == PUBLIC_NAMES
+    for name, where in faadibruno._EXPORTS.items():
+        module, _, defined_as = where.partition(".")
+        defining = importlib.import_module(f"faadibruno.{module}")
+        assert getattr(faadibruno, name) is getattr(defining, defined_as or name), name
+    assert faadibruno._EXPORTS["run_verification"] == "verification.run_all"
+
+
+LAZY_PROBE = """
+import sys
+import faadibruno
+
+assert faadibruno.__version__ == "0.1.0"
+assert "touchard" not in vars(faadibruno) and "touchard" in dir(faadibruno)
+touchard = faadibruno.touchard
+assert vars(faadibruno)["touchard"] is touchard is sys.modules["faadibruno.bell"].touchard
+assert faadibruno.symfunc is sys.modules["faadibruno.symfunc"]
+assert faadibruno.cli.__name__ == "faadibruno.cli" and not hasattr(faadibruno, "nope")
+star = {}
+exec("from faadibruno import *", star)
+assert set(star) - {"__builtins__"} == set(faadibruno.__all__)
+assert star["run_verification"] is faadibruno.verification.run_all
+"""
+
+
+def test_a_bare_import_loads_each_name_and_submodule_on_first_use():
+    # a fresh interpreter: in this one the tests have loaded every module already
+    src = str(Path(faadibruno.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_tables_are_streams_and_the_removed_methods_stay_removed():
@@ -166,12 +203,8 @@ def test_every_public_name_is_used_inside_the_package():
     # any public top-level name of a module, exported or not; an alias such as
     # run_verification is looked up under the name it is defined by
     package = Path(faadibruno.__file__).parent
-    init = ast.parse((package / "__init__.py").read_text())
     defined_as = {
-        alias.asname or alias.name: alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        name: where.partition(".")[2] or name for name, where in faadibruno._EXPORTS.items()
     }
     trees = [ast.parse(p.read_text()) for p in package.glob("*.py") if p.name != "__init__.py"]
     names = {defined_as[name] for name in PUBLIC_NAMES}.union(*map(public_definitions, trees))

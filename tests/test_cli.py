@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faadibruno.cli as cli
+from faadibruno import bell, coefficients, diffalg
 from faadibruno.cli import main
 from faadibruno.partitions import (
     DEFAULT_WEIGHT_CAP,
@@ -313,6 +314,7 @@ def test_json_rows_write_the_bytes_of_the_whole_document(coeff_rows, stirling_ro
     # parts and integers of any size alike
     tables = [
         (
+            coefficients,
             "coefficient_table",
             [(r, Partition(parts), c) for r, parts, c in coeff_rows],
             ["coeff", "--n", "3", "--s", "1"],
@@ -323,6 +325,7 @@ def test_json_rows_write_the_bytes_of_the_whole_document(coeff_rows, stirling_ro
             },
         ),
         (
+            bell,
             "stirling_table",
             stirling_rows,
             ["stirling", "--n-max", "2"],
@@ -334,9 +337,10 @@ def test_json_rows_write_the_bytes_of_the_whole_document(coeff_rows, stirling_ro
             },
         ),
     ]
-    for table, rows, argv, document in tables:
+    for module, table, rows, argv, document in tables:
+        # the handler reads the builder from its defining module as it runs
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, table, lambda *args, rows=rows, **kwargs: iter(rows))
+            patch.setattr(module, table, lambda *args, rows=rows, **kwargs: iter(rows))
             code, stdout, stderr = run_main([*argv, "--format", "json"])
         assert (code, stderr) == (0, "")
         assert stdout.decode("utf-8") == json.dumps(document, indent=2, ensure_ascii=False) + "\n"
@@ -529,13 +533,15 @@ def test_polynomial_csv_is_refused(argv, message, capsys):
     ],
 )
 def test_polynomial_csv_is_refused_before_any_work(argv, message, monkeypatch, capsys):
-    import faadibruno.cli as cli
-
     def never(*args, **kwargs):
         raise AssertionError("a refused format must not build a polynomial")
 
-    for builder in ("formula_expansion", "nth_derivative_expansion", "modified_partial_bell"):
-        monkeypatch.setattr(cli, builder, never)
+    for module, builder in (
+        (diffalg, "formula_expansion"),
+        (diffalg, "nth_derivative_expansion"),
+        (bell, "modified_partial_bell"),
+    ):
+        monkeypatch.setattr(module, builder, never)
     assert main([*argv, "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message)
@@ -544,6 +550,63 @@ def test_polynomial_csv_is_refused_before_any_work(argv, message, monkeypatch, c
 def test_over_cap_csv_expansion_stderr_is_pinned():
     proc = run_cli("expand", "--n", "70", "--format", "csv", expect=2)
     assert (proc.stdout, proc.stderr) == ("", "csv output is not defined for expansions\n")
+
+
+# the package's modules a fresh interpreter holds after importing the package,
+# or after running one command in process, and whether fractions is loaded:
+# work done before the first byte, counted without a clock
+STARTUP_PROBE = """
+import sys
+import faadibruno
+if sys.argv[1:]:
+    from faadibruno.cli import main
+    assert main(sys.argv[1:]) == 0
+print(*sorted(m for m in sys.modules if m.partition(".")[0] == "faadibruno"), file=sys.stderr)
+print("fractions" in sys.modules, file=sys.stderr)
+"""
+
+
+def loaded(*modules):
+    return {"faadibruno", *(f"faadibruno.{m}" for m in modules)}
+
+
+LISTING = ("cli", "partitions")
+TABLE = (*LISTING, "coefficients", "symfunc")
+EVERY_MODULE = {p.stem for p in Path(SRC, "faadibruno").glob("*.py")} - {"__init__", "__main__"}
+
+
+@pytest.mark.parametrize(
+    "argv, modules, fractions",
+    [
+        ([], loaded(), False),
+        (["partitions", "--n", "5", "--format", "csv"], loaded(*LISTING), False),
+        (["partitions", "--n", "5", "--format", "json"], loaded(*LISTING), False),
+        (["coeff", "--n", "4", "--s", "1", "--verify"], loaded(*TABLE), False),
+        (["expand", "--n", "2", "--s", "1"], loaded(*TABLE, "diffalg", "sparse"), False),
+        (["bell", "--n", "3", "--k", "2"], loaded(*TABLE, "bell", "sparse"), False),
+        (["stirling", "--n-max", "3"], loaded(*TABLE, "bell", "sparse"), False),
+        (
+            ["check", "--f", "1,2", "--g", "1", "--phi", "0,1", "--n", "2"],
+            loaded(*TABLE, "diffalg", "polynomials", "sparse"),
+            True,
+        ),
+        (["verify", "--max-n", "1", "--max-s", "0", "--trials", "1"], loaded(*EVERY_MODULE), True),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, fractions):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names, has_fractions = proc.stderr.splitlines()
+    assert set(names.split()) == modules
+    assert has_fractions == str(fractions)
 
 
 def run_main(argv):
@@ -568,16 +631,14 @@ def assert_out_file_holds(argv, stdout):
 def test_verified_expansion_mismatch_writes_the_difference(monkeypatch):
     # the closed formula one too high on its first term, in terms() order; the
     # document's bytes were recorded at 44cd6a6, while it was a dict encoded whole
-    from faadibruno.diffalg import DiffPolynomial
-
-    real = cli.formula_expansion
+    real = diffalg.formula_expansion
 
     def first_term_one_too_high(n, s, cap):
         poly = real(n, s, cap=cap)
         (mono, _coeff), *_rest = poly.terms()
-        return poly + DiffPolynomial.term(mono)
+        return poly + diffalg.DiffPolynomial.term(mono)
 
-    monkeypatch.setattr(cli, "formula_expansion", first_term_one_too_high)
+    monkeypatch.setattr(diffalg, "formula_expansion", first_term_one_too_high)
     argv = ["expand", "--n", "4", "--s", "2", "--verify", "--format", "json"]
     code, stdout, stderr = run_main(argv)
     assert (code, len(stdout), stderr) == (1, 175, "")
@@ -590,8 +651,6 @@ def test_verified_expansion_mismatch_writes_the_difference(monkeypatch):
 
 
 def test_verified_coeff_mismatch_leaves_the_rows_already_checked(monkeypatch):
-    import faadibruno.coefficients as coefficients
-
     argv = ["coeff", "--n", "3", "--s", "1", "--verify", "--format"]
     clean = {}
     for fmt in ("csv", "json"):
@@ -619,6 +678,23 @@ def test_verified_coeff_mismatch_leaves_the_rows_already_checked(monkeypatch):
     whole = json.dumps({**document, "entries": entries}, indent=2, ensure_ascii=False)
     assert whole.endswith("\n  ]\n}")
     assert failed["json"].decode("utf-8") == whole[: -len("\n  ]\n}")]
+
+
+@pytest.mark.parametrize(
+    "module, builder, argv",
+    [
+        (coefficients, "coefficient_table", ["coeff", "--n", "40", "--s", "0", "--verify"]),
+        (diffalg, "formula_expansion", ["expand", "--n", "40", "--s", "0"]),
+        (bell, "modified_partial_bell", ["bell", "--n", "64", "--k", "16", "--format", "json"]),
+    ],
+)
+def test_running_out_of_memory_exits_2_with_one_error_line(module, builder, argv, monkeypatch):
+    # the builder raises as an exhausted allocator would; no memory is used up
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, builder, exhausted)
+    assert run_main(argv) == (2, b"", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "pretty"])

@@ -319,6 +319,25 @@ def _stirling_convolution_one_too_high_at_3_2_1(real, n, k, r):
     return real(n, k, r) + ((n, k, r) == (3, 2, 1))
 
 
+def _union_drops_a_part_of_2_and_1(real, mu, nu):
+    both = real(mu, nu)
+    return partitions.Partition(both.parts[1:]) if (mu.parts, nu.parts) == ((2,), (1,)) else both
+
+
+def _truncation_keeps_the_1_of_3_1_above_1(real, lam, s):
+    return lam if (lam.parts, s) == ((3, 1), 1) else real(lam, s)
+
+
+def _bell_times_y1_at_3_2_1_1(real, n, k, r, s, cap):
+    # one degree too many on every term of B~(3, 2, 1, 1)
+    poly = real(n, k, r, s, cap=cap)
+    return poly * bell.YPolynomial.variable(1) if (n, k, r, s) == (3, 2, 1, 1) else poly
+
+
+def _modified_stirling_one_too_high_at_4_2_1(real, n, k, r, cap=DEFAULT_WEIGHT_CAP):
+    return real(n, k, r, cap=cap) + ((n, k, r) == (4, 2, 1))
+
+
 def _first_term_one_too_high_when(point):
     # the polynomial's first monomial, in terms() order, one too high where
     # point(*args) holds, every other result as it is
@@ -332,8 +351,8 @@ def _first_term_one_too_high_when(point):
     return fault
 
 
-# suite key -> (module, name, a single-point fault in that function, the suite's
-# (instances, failures, counterexample) at (7, 3), trials 50, seed 0)
+# suite key -> (module or class, name, a single-point fault in that function,
+# the suite's (instances, failures, counterexample) at (7, 3), trials 50, seed 0)
 SINGLE_FAULTS = {
     "partition_count_matches_dp": (
         verification,
@@ -402,6 +421,30 @@ SINGLE_FAULTS = {
             lambda poly, s: s == 1 and poly == diffalg.leibniz_product_expansion(2)
         ),
         (32, 1, {"n": 2, "s": 1}),
+    ),
+    "partition_union_shift_parameters": (
+        partitions.Partition,
+        "union",
+        _union_drops_a_part_of_2_and_1,
+        (429, 1, {"mu": [2], "nu": [1]}),
+    ),
+    "truncation_shift_fixed_points": (
+        partitions.Partition,
+        "truncate_above",
+        _truncation_keeps_the_1_of_3_1_above_1,
+        (180, 1, {"partition": [3, 1], "s": 1}),
+    ),
+    "bell_homogeneity": (
+        bell,
+        "modified_partial_bell",
+        _bell_times_y1_at_3_2_1_1,
+        (873, 2, {"n": 3, "k": 2, "r": 1, "s": 1}),
+    ),
+    "stirling_recurrence_corrected": (
+        bell,
+        "modified_stirling",
+        _modified_stirling_one_too_high_at_4_2_1,
+        (112, 7, {"n": 3, "k": 1, "r": 1}),
     ),
 }
 
