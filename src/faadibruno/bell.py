@@ -75,29 +75,33 @@ class YPolynomial(SparsePolynomial):
         return out
 
 
-def _capped_cache(body):
-    """Memoize body(n, *rest) and refuse n > cap before the cache is consulted.
+def _capped_cache(weight):
+    """Memoize body(*args) and refuse weight(*args) > cap before the cache is consulted.
 
-    The cap is not part of the cache key: a value is the same under every cap
-    that admits it, so a call with a raised cap and one with the default share
-    one entry.  The body therefore enumerates with n itself as the cap.  The
-    front keeps the cache's ``cache_info``/``cache_clear``, and ``__wrapped__``
-    is the uncached body.
+    Where weight is None the value vanishes: zero, before any check or cache.
+    The cap is not part of the key: every cap that admits a value shares its
+    entry, so the body enumerates with its own weight as the cap.  The front
+    keeps ``cache_info``/``cache_clear``; ``__wrapped__`` is the uncached body.
     """
-    cached = lru_cache(maxsize=None)(body)
-    name = body.__name__
 
-    @wraps(body)
-    def front(n: int, *rest: int, cap: int = DEFAULT_WEIGHT_CAP):
-        CapExceeded.check(n, cap, name)
-        return cached(n, *rest)
+    def decorate(body):
+        cached = lru_cache(maxsize=None)(body)
 
-    front.cache_info = cached.cache_info
-    front.cache_clear = cached.cache_clear
-    return front
+        @wraps(body)
+        def front(*args: int, cap: int = DEFAULT_WEIGHT_CAP):
+            if (reached := weight(*args)) is None:
+                return YPolynomial.zero()
+            CapExceeded.check(reached, cap, body.__name__)
+            return cached(*args)
+
+        front.cache_info = cached.cache_info
+        front.cache_clear = cached.cache_clear
+        return front
+
+    return decorate
 
 
-@_capped_cache
+@_capped_cache(lambda n, k: n)
 def partial_bell(n: int, k: int) -> YPolynomial:
     """Classical partial Bell polynomial: chain-rule coefficients of partitions of n with k parts.
 
@@ -119,21 +123,22 @@ def complete_bell(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
     return total
 
 
-def modified_partial_bell(
-    n: int, k: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP
-) -> YPolynomial:
+def _modified_weight(n: int, k: int, r: int, s: int) -> int | None:
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    return n + r * s if 0 <= r <= k <= n else None
+
+
+@_capped_cache(_modified_weight)
+def modified_partial_bell(n: int, k: int, r: int, s: int) -> YPolynomial:
     """Sum of C(lam, r, s) * prod y_i^m_i over lam of weight n + r*s and length k
     with at least r parts greater than s.
 
-    Vanishes whenever 0 <= r <= k <= n fails; every surviving term has degree k
-    and weighted degree n + r*s.
+    Zero where 0 <= r <= k <= n fails, under any ``cap``; otherwise CapExceeded
+    when n + r*s > cap, and every term has degree k and weighted degree n + r*s.
     """
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    if n < 0 or k < 0 or r < 0 or k > n or r > k:
-        return YPolynomial.zero()
     return YPolynomial(
-        (lam.items(), c) for lam, c in constrained_coefficients(n, r, s, cap=cap, length=k)
+        (lam.items(), c) for lam, c in constrained_coefficients(n, r, s, cap=n + r * s, length=k)
     )
 
 
@@ -156,11 +161,10 @@ def product_form_partial(
     its variables shifted up by s.  Contract: equals modified_partial_bell(n, k, r, s),
     and refuses the same weight n + r*s above cap.
     """
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    if n < 0 or k < 0 or r < 0 or k > n or r > k:
+    reached = _modified_weight(n, k, r, s)
+    if reached is None:
         return YPolynomial.zero()
-    CapExceeded.check(n + r * s, cap, "product_form_partial")
+    CapExceeded.check(reached, cap, "product_form_partial")
     total = YPolynomial.zero()
     for p in range(r, n - k + r + 1):
         left = partial_bell(n - p, k - r, cap=cap)

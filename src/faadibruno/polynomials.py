@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, partial
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Union
 
 from .diffalg import DiffPolynomial, formula_expansion
@@ -82,22 +81,27 @@ class RationalPolynomial:
     def __repr__(self) -> str:
         return f"RationalPolynomial([{', '.join(self.to_strings())}])"
 
+    @classmethod
+    def _combine(cls, pairs: Iterable, den: int = 1) -> "RationalPolynomial":
+        """(sum of x * p over the (integer x, polynomial p) pairs) / den, in integer
+        numerators over one common denominator, canonicalised once."""
+        pairs = [(x, p) for x, p in pairs if x and p._num]
+        common = lcm(*(p._den for _, p in pairs))
+        out = [0] * max((len(p._num) for _, p in pairs), default=0)
+        for x, p in pairs:
+            x *= common // p._den
+            for i, y in enumerate(p._num):
+                out[i] += x * y
+        return cls._make(out, common * den)
+
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        a, da, b, db = self._num, self._den, other._num, other._den
-        if len(a) < len(b):
-            a, da, b, db = b, db, a, da
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        out = [x * fa for x in a]
-        for i, y in enumerate(b):
-            out[i] += y * fb
-        return self._make(out, den)
+        return self._combine(((1, self), (1, other)))
 
     def __neg__(self) -> "RationalPolynomial":
         return self._make([-x for x in self._num], self._den)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + (-other)
+        return self._combine(((1, self), (-1, other)))
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
@@ -114,9 +118,7 @@ class RationalPolynomial:
 
     def scale(self, factor: Union[Fraction, int]) -> "RationalPolynomial":
         factor = Fraction(factor)
-        return self._make(
-            [x * factor.numerator for x in self._num], self._den * factor.denominator
-        )
+        return self._combine(((factor.numerator, self),), factor.denominator)
 
     def __pow__(self, exponent: int) -> "RationalPolynomial":
         if exponent < 0:
@@ -131,11 +133,14 @@ class RationalPolynomial:
         return result
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
-        """self(inner(t)), by Horner evaluation in the polynomial ring."""
-        result = RationalPolynomial()
-        for x in reversed(self._num):
-            result = result * inner + self._make([x], self._den)
-        return result
+        """self(inner(t))."""
+        return self._over([RationalPolynomial([1]), inner])
+
+    def _over(self, powers: list) -> "RationalPolynomial":
+        """sum c_j * base^j over powers = [1, base, ...], extended in place as needed."""
+        while len(powers) <= self.degree:
+            powers.append(powers[-1] * powers[1])
+        return self._combine(zip(self._num, powers), self._den)
 
     def derivative(self, order: int = 1) -> "RationalPolynomial":
         if order < 0:
@@ -148,32 +153,40 @@ class RationalPolynomial:
 
 
 class FormulaInstantiator:
-    """Evaluates formula expansions on concrete polynomials, one y-part at a time.
+    """Evaluates formula expansions on one concrete triple (f, g, phi), at every shift s.
 
-    Fixed to one triple (f, g, phi) and one shift s.  An expansion is summed as
-    sum_y Y(y) * (sum c * F_a * G_b), with F_a = f^(a) o phi, G_b = g^(b) o phi^(s)
-    and Y(y) = prod (phi^(i))^e.  Each F_a * G_b and each Y(y) is built on first
-    use and kept for every later expansion evaluated by this instance.
+    An expansion at shift s is sum c * F_a * G_b * Y(y), with F_a = f^(a) o phi,
+    G_b = g^(b) o phi^(s) and Y(y) = prod (phi^(i))^e.  Each operand is built on
+    first use and kept for every later expansion: F_a per a, G_b per (s, b),
+    F_a * G_b per (s, a, b), Y(y) per y, and the powers of phi^(i) that the
+    compositions combine.
     """
 
-    def __init__(
-        self,
-        f: RationalPolynomial,
-        g: RationalPolynomial,
-        phi: RationalPolynomial,
-        s: int,
-    ):
-        self.phi_s = phi_s = phi.derivative(s)
+    def __init__(self, f: RationalPolynomial, g: RationalPolynomial, phi: RationalPolynomial):
         self._degrees = (f.degree, g.degree, phi.degree)
         # the closures capture the polynomials, not self, so no cycle forms
-        f_at = cache(lambda a: f.derivative(a).compose(phi))
-        g_at = cache(lambda b: g.derivative(b).compose(phi_s))
-        self._fg = cache(lambda a, b: f_at(a) * g_at(b))
-        self._y = cache(lambda y: reduce(mul, (phi.derivative(i) ** e for i, e in y)))
+        phi_at = cache(phi.derivative)
+        powers = cache(lambda i: [RationalPolynomial([1]), phi_at(i)])  # extended by _over
+        f_at = cache(lambda a: f.derivative(a)._over(powers(0)))
+        g_at = cache(lambda s, b: g.derivative(b)._over(powers(s)))
+        self._fg = cache(lambda s, ab: f_at(ab[0]) * g_at(s, ab[1]))
 
-    def expansion_value(self, expansion: DiffPolynomial) -> RationalPolynomial:
+        @cache
+        def y_at(y: tuple) -> RationalPolynomial:
+            # Y of y with one factor phi^(i) fewer, times phi^(i); Y(()) = 1
+            if not y:
+                return RationalPolynomial([1])
+            (i, e), fewer = y[-1], y[:-1]
+            if e > 1:
+                fewer += ((i, e - 1),)
+            return y_at(fewer) * phi_at(i) if fewer else phi_at(i)
+
+        self._y = y_at
+
+    def expansion_value(self, expansion: DiffPolynomial, s: int) -> RationalPolynomial:
+        """The expansion at shift s, grouped by y-part or by (a, b): whichever has fewer."""
         df, dg, dphi = self._degrees
-        groups: dict[tuple, RationalPolynomial] = {}
+        by_y, by_ab = {}, {}  # y -> [(c, (a, b)), ...] and (a, b) -> [(c, y), ...]
         for mono, coeff in expansion:
             if mono.z:
                 raise ValueError("psi symbols cannot be instantiated here")
@@ -181,12 +194,17 @@ class FormulaInstantiator:
             # past its degree a polynomial's derivative vanishes; y ascends by index
             if a > df or b > dg or (y and y[-1][0] > dphi):
                 continue
-            term = self._fg(a, b).scale(coeff)
-            groups[y] = groups[y] + term if y in groups else term
-        total = RationalPolynomial()
-        for y, inner in groups.items():
-            total = total + (self._y(y) * inner if y else inner)  # Y(()) = 1
-        return total
+            by_y.setdefault(y, []).append((coeff, (a, b)))
+            by_ab.setdefault((a, b), []).append((coeff, y))
+        fg = partial(self._fg, s)
+        y_fewer = len(by_y) <= len(by_ab)
+        groups, outer, inner = (by_y, self._y, fg) if y_fewer else (by_ab, fg, self._y)
+        sums = []
+        for key, terms in groups.items():
+            summed = RationalPolynomial._combine((c, inner(k)) for c, k in terms)
+            # Y(()) = 1, and a vanishing sum needs no product
+            sums.append((1, outer(key) * summed if key and summed._num else summed))
+        return RationalPolynomial._combine(sums)
 
 
 def check_main_theorem(
@@ -206,9 +224,8 @@ def check_main_theorem(
         raise ValueError("n and s must be non-negative")
     # the expansion checks the cap, so it comes before any concrete work
     expansion = formula_expansion(n, s, cap=cap)
-    inst = FormulaInstantiator(f, g, phi, s)
-    lhs = (f.compose(phi) * g.compose(inst.phi_s)).derivative(n)
-    rhs = inst.expansion_value(expansion)
+    lhs = (f.compose(phi) * g.compose(phi.derivative(s))).derivative(n)
+    rhs = FormulaInstantiator(f, g, phi).expansion_value(expansion, s)
     report = {
         "n": n,
         "s": s,
@@ -256,11 +273,11 @@ def run_random_checks(
         f = random_polynomial(rng)
         g = random_polynomial(rng)
         phi = random_polynomial(rng)
+        inst = FormulaInstantiator(f, g, phi)
         for s in range(max_s + 1):
-            inst = FormulaInstantiator(f, g, phi, s)
-            lhs = f.compose(phi) * g.compose(inst.phi_s)
+            lhs = f.compose(phi) * g.compose(phi.derivative(s))
             for n in range(max_n + 1):
-                rhs = inst.expansion_value(expansions[(n, s)])
+                rhs = inst.expansion_value(expansions[(n, s)], s)
                 instances += 1
                 if lhs != rhs:
                     failures += 1

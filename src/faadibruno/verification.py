@@ -11,7 +11,9 @@ A suite is a private generator declared with the ``_suite(key, statement,
 informational)`` decorator.  It takes ``(max_n, max_s, rng, trials, cap)``
 and yields exactly one item per checked instance: ``None`` when the identity
 holds there, or a witness dict when it fails.  One runner counts the items
-and the failures and keeps the first witness.  ``SUITES`` holds the
+and the failures and keeps the first witness; any exception but CapExceeded,
+MemoryError or RecursionError that ends a suite is one more failing instance,
+witnessed as ``{"error": "Type: message"}``.  ``SUITES`` holds the
 ``(key, statement, runner, informational)`` tuples in declaration order,
 which is the order of the report.
 """
@@ -32,6 +34,7 @@ from .coefficients import (
 )
 from .partitions import (
     DEFAULT_WEIGHT_CAP,
+    CapExceeded,
     Partition,
     enumerate_partitions,
     modifications,
@@ -67,12 +70,18 @@ def _suite(key: str, statement: str, informational: bool = False):
         def runner(max_n: int, max_s: int, rng, trials: int, cap: int):
             instances = failures = 0
             witness = None
-            for item in check(max_n, max_s, rng, trials, cap):
+            try:
+                for item in check(max_n, max_s, rng, trials, cap):
+                    instances += 1
+                    if item is not None:
+                        failures += 1
+                        witness = witness or item
+            except (CapExceeded, MemoryError, RecursionError):
+                raise  # a usage or resource error, not a falsified identity
+            except Exception as exc:  # a fault in the checked code: one failing instance
                 instances += 1
-                if item is not None:
-                    failures += 1
-                    if witness is None:
-                        witness = item
+                failures += 1
+                witness = witness or {"error": f"{type(exc).__name__}: {exc}"}
             return instances, failures, witness
 
         _REGISTRY.append((key, statement, runner, informational))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faadibruno import bell, coefficients
+from faadibruno import bell, coefficients, verification
 from faadibruno.bell import (
     YPolynomial,
     complete_bell,
@@ -404,6 +404,40 @@ def test_raised_cap_reaches_partial_bell_and_modified_stirling():
     assert partial_bell.cache_info().currsize <= before + 1
     assert modified_stirling(8, 3, 2) == modified_stirling(8, 3, 2, cap=8)
     assert complete_bell(6, cap=6) == complete_bell(6)
+
+
+def test_modified_partial_bell_checks_its_cap_before_its_cache():
+    # weight n + r*s = 6: cached under the default cap, still refused under cap 5
+    value = modified_partial_bell(4, 2, 2, 1)
+    with pytest.raises(CapExceeded, match=r"^modified_partial_bell reaches weight 6 > cap 5$"):
+        modified_partial_bell(4, 2, 2, 1, cap=5)
+    before = modified_partial_bell.cache_info().currsize
+    assert modified_partial_bell(4, 2, 2, 1, cap=6) is value
+    # a raised cap and the default share one entry
+    raised = modified_partial_bell(9, 4, 2, 3, cap=100)
+    assert modified_partial_bell(9, 4, 2, 3, cap=15) is raised is modified_partial_bell(9, 4, 2, 3)
+    assert modified_partial_bell.cache_info().currsize <= before + 1
+    assert raised == modified_partial_bell.__wrapped__(9, 4, 2, 3)
+
+
+def test_modified_partial_bell_vanishes_before_any_check_or_cache():
+    # outside 0 <= r <= k <= n the value is zero at any weight, under any cap
+    before = modified_partial_bell.cache_info()
+    for args in [(100, 101, 0, 1), (70, 3, 4, 5), (-1, 0, 0, 0), (9, 4, -1, 2), (8, -1, 0, 0)]:
+        assert modified_partial_bell(*args, cap=0) == YPolynomial.zero()
+    after = modified_partial_bell.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    with pytest.raises(ValueError, match="s must be non-negative"):
+        modified_partial_bell(3, 2, 1, -1)
+
+
+def test_verify_builds_each_modified_bell_polynomial_once():
+    # a clockless work pin: the Bell suites of verify (7, 3, 50) call
+    # modified_partial_bell 4,300 times on 480 in-range argument sets
+    modified_partial_bell.cache_clear()
+    report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
+    assert report["passed"] is True
+    assert modified_partial_bell.cache_info().misses == 480
 
 
 def test_stirling_table_passes_its_cap(monkeypatch):

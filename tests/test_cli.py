@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import faadibruno.cli as cli
-from faadibruno import bell, coefficients, diffalg
+from faadibruno import bell, coefficients, diffalg, symfunc
 from faadibruno.cli import main
 from faadibruno.partitions import (
     DEFAULT_WEIGHT_CAP,
+    CapExceeded,
     Partition,
     enumerate_partitions,
 )
@@ -695,6 +696,53 @@ def test_running_out_of_memory_exits_2_with_one_error_line(module, builder, argv
 
     monkeypatch.setattr(module, builder, exhausted)
     assert run_main(argv) == (2, b"", "error: out of memory\n")
+
+
+SMALL_VERIFY = ["verify", "--max-n", "3", "--max-s", "1", "--trials", "2"]
+
+
+def _newton_residuals_raising(error):
+    # the newton_identity_residual_zero suite's function raises on its multiset (3, 1)
+    real = symfunc.newton_residuals
+
+    def raising(b, r_max):
+        if b == (3, 1):
+            raise error
+        return real(b, r_max)
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError("bad residual"), ZeroDivisionError("division by zero"), KeyError(3)]
+)
+def test_an_exception_inside_a_suite_fails_that_suite_and_exits_1(error, monkeypatch):
+    # a library fault is a falsified check, not a bad flag, and the run goes on past it
+    clean = json.loads(run_main(SMALL_VERIFY)[1])
+    monkeypatch.setattr(symfunc, "newton_residuals", _newton_residuals_raising(error))
+    code, stdout, stderr = run_main(SMALL_VERIFY)
+    assert (code, stderr) == (1, "")
+    report = json.loads(stdout)
+    assert report["passed"] is False
+    for before, after in zip(clean["identities"], report["identities"], strict=True):
+        if before["key"] != "newton_identity_residual_zero":
+            assert after == before
+            continue
+        assert after["failures"] == 1 and after["instances"] <= before["instances"]
+        assert after["counterexample"] == {"error": f"{type(error).__name__}: {error}"}
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (CapExceeded("residual reaches weight 9 > cap 8"), "residual reaches weight 9 > cap 8"),
+        (MemoryError(), "out of memory"),
+        (RecursionError("maximum recursion depth exceeded"), "maximum recursion depth exceeded"),
+    ],
+)
+def test_a_resource_error_inside_a_suite_still_exits_2(error, line, monkeypatch):
+    monkeypatch.setattr(symfunc, "newton_residuals", _newton_residuals_raising(error))
+    assert run_main(SMALL_VERIFY) == (2, b"", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "pretty"])

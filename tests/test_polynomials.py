@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faadibruno import verification
-from faadibruno.diffalg import leibniz_product_expansion
+from faadibruno.diffalg import formula_expansion, leibniz_product_expansion
 from faadibruno.polynomials import (
     FormulaInstantiator,
     RationalPolynomial,
@@ -17,6 +17,7 @@ from faadibruno.polynomials import (
 )
 
 from helpers import (
+    expansion_value_by_terms,
     fraction_poly_add,
     fraction_poly_derivative,
     fraction_poly_eval,
@@ -189,15 +190,35 @@ def test_power_stops_squaring_after_the_top_bit(products):
 def test_expansion_at_edge_degrees(f, g, phi):
     # monomials with a = deg f, b = deg g or top y index = deg phi are live;
     # one past any of them is dead
+    inst = FormulaInstantiator(f, g, phi)
     for s in range(3):
         for n in range(5):
             assert check_main_theorem(f, g, phi, n, s)["equal"]
+            expansion = formula_expansion(n, s)
+            value = inst.expansion_value(expansion, s)
+            assert value == expansion_value_by_terms(expansion, s, f, g, phi)
+
+
+def test_one_instance_per_triple_matches_the_term_by_term_sum():
+    # one instance serves every s, in any order, and its tables never leak
+    # from one shift into another; the grid groups by y-part at some (n, s)
+    # and by (a, b) at others
+    rng = random.Random(11)
+    for _ in range(12):
+        f, g, phi = (random_polynomial(rng, 4, 6) for _ in range(3))
+        inst = FormulaInstantiator(f, g, phi)
+        for s in (2, 0, 1):
+            for n in range(6):
+                expansion = formula_expansion(n, s)
+                value = inst.expansion_value(expansion, s)
+                assert_canonical(value)
+                assert value == expansion_value_by_terms(expansion, s, f, g, phi)
 
 
 def test_psi_expansions_are_refused():
-    inst = FormulaInstantiator(P(1, 1), P(2, 1), P(0, 1, 1), 0)
+    inst = FormulaInstantiator(P(1, 1), P(2, 1), P(0, 1, 1))
     with pytest.raises(ValueError, match="psi symbols cannot be instantiated here"):
-        inst.expansion_value(leibniz_product_expansion(1))
+        inst.expansion_value(leibniz_product_expansion(1), 0)
 
 
 def test_concrete_oracle_products_at_the_benchmark_grid(products, monkeypatch):
@@ -210,9 +231,12 @@ def test_concrete_oracle_products_at_the_benchmark_grid(products, monkeypatch):
         0,
         None,
     )
-    # one Y per partition and one F_a * G_b per (a, b) pair, per instance, and
-    # no product by 1
-    assert products[0] == 13407
+    # the left side: per (triple, s), the power tables of f o phi and g o phi^(s)
+    # and their product.  The right side: per triple, not per (triple, s), one
+    # product per power of phi and of phi^(s) past the first, per Y(y) past one
+    # factor and per F_a * G_b; per instance, one per group of the smaller
+    # grouping (by y-part or by (a, b)); none by a structural 1
+    assert products[0] == 6185
 
 
 # Property tests: the integer-numerator representation against the

@@ -346,7 +346,30 @@ def _first_term_one_too_high_when(point):
         if not point(*args):
             return poly
         (mono, _coeff), *_rest = poly.terms()
-        return poly + diffalg.DiffPolynomial.term(mono)
+        return poly + type(poly)({mono: 1})
+
+    return fault
+
+
+def _first_f_order_one_too_high_at_2_1(real, n, s, cap=DEFAULT_WEIGHT_CAP):
+    # the first monomial of the (2, 1) expansion, in terms() order, one F order too high
+    poly = real(n, s, cap=cap)
+    if (n, s) != (2, 1):
+        return poly
+    (mono, coeff), *rest = poly.terms()
+    return diffalg.DiffPolynomial([(mono._replace(f_order=mono.f_order + 1), coeff), *rest])
+
+
+def _first_derivation_drops_its_first_term():
+    # wrong on the arguments of the first call it sees, whatever they are, so a
+    # rerun of the seeded suite meets the same fault on the same call
+    first = []
+
+    def fault(real, *args):
+        out = real(*args)
+        if not first:
+            first.append(args)
+        return diffalg.DiffPolynomial(out.terms()[1:]) if args == first[0] else out
 
     return fault
 
@@ -446,6 +469,58 @@ SINGLE_FAULTS = {
         _modified_stirling_one_too_high_at_4_2_1,
         (112, 7, {"n": 3, "k": 1, "r": 1}),
     ),
+    "bell_product_form": (
+        bell,
+        "product_form_partial",
+        _first_term_one_too_high_when(lambda n, k, r, s: (n, k, r, s) == (3, 2, 1, 1)),
+        (512, 1, {"n": 3, "k": 2, "r": 1, "s": 1}),
+    ),
+    "bell_recurrence_in_variables": (
+        bell,
+        "modified_partial_bell",
+        _first_term_one_too_high_when(lambda n, k, r, s: (n, k, r, s) == (3, 2, 1, 1)),
+        (448, 9, {"n": 2, "k": 1, "r": 1, "s": 1}),
+    ),
+    "expansion_weighted_degree_law": (
+        diffalg,
+        "formula_expansion",
+        _first_f_order_one_too_high_at_2_1,
+        (
+            873,
+            1,
+            {
+                "n": 2,
+                "s": 1,
+                "monomial": "DiffMonomial(f_order=3, g_order=0, y=((1, 2),), z=())",
+            },
+        ),
+    ),
+    "derivation_leibniz_rule": (
+        diffalg,
+        "derive",
+        _first_derivation_drops_its_first_term(),
+        (55, 1, {"p": "-2·φ''' + 2·φ''^2·ψ'", "q": "-1·φ''' + 3·φ'·φ''^2 + -1·1"}),
+    ),
+}
+
+# suites shown to fail by a named test of this file rather than a SINGLE_FAULTS row
+NAMED_FAULT_TESTS = {
+    "partition_modification_parameters": test_a_wrong_modification_fails_both_suites_that_read_it,
+    "coefficient_recurrence_matches_closed_form": (
+        test_a_wrong_modification_fails_both_suites_that_read_it
+    ),
+    "newton_identity_residual_zero": test_newton_suite_reports_a_wrong_residual,
+    "elementary_subtract_transform": test_subtract_transform_suite_reports_a_wrong_vector,
+    "elementary_subpartition_sum": test_a_wrong_subpartition_sum_fails_the_plain_suite_alone,
+    "elementary_shifted_subpartition_sum": test_a_wrong_shifted_weight_fails_the_shifted_suite,
+    "coefficient_integrality": test_unbuildable_table_is_one_failing_instance,
+    "modified_stirling_s_independent": test_a_wrong_modified_stirling_number_fails_s_independence,
+    "modified_stirling_base_row": (
+        test_stirling_suites_compare_with_the_definition_not_the_closed_form
+    ),
+    "stirling_row_sum_doubling": (
+        test_stirling_suites_compare_with_the_definition_not_the_closed_form
+    ),
 }
 
 
@@ -459,3 +534,11 @@ def test_a_single_fault_fails_the_suite_that_checks_it(monkeypatch, key):
     (result,) = report["identities"]
     assert (result["instances"], result["failures"], result["counterexample"]) == expected
     assert result["passed"] is False and report["passed"] is False
+
+
+def test_every_suite_that_can_fail_has_a_fault_that_fails_it():
+    # a new suite cannot land without a row above or a named fault test; the two
+    # informational suites keep their pinned counterexamples instead
+    checked = {key for key, _statement, _runner, info in verification.SUITES if not info}
+    assert len(checked) == 28
+    assert checked == set(SINGLE_FAULTS) | set(NAMED_FAULT_TESTS)
