@@ -310,6 +310,10 @@ def test_ypolynomial_rendering(capsysbinary):
     ]
     assert YPolynomial.zero().pretty() == "0"
     assert poly.latex() == "4\\, y_{1} y_{3} + 3\\, y_{2}^{2}"
+    # a constant term prints its empty product as 1; a coefficient of 1 is left out
+    mixed = YPolynomial({(): -3, ((1, 2),): 1})
+    assert mixed.pretty() == "-3·1 + y1^2"
+    assert mixed.latex() == "-3\\, 1 + y_{1}^{2}"
 
 
 def test_stirling_table():

@@ -297,6 +297,16 @@ def test_benchmark_listing_matches_its_golden_digest(capsysbinary):
     assert hashlib.sha256(stdout).hexdigest() == golden["digests"][argv]
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_benchmark_verify_matches_its_golden_digest(seed, capsysbinary):
+    # the four verify reports the benchmark times, checked against its digests
+    argv = f"verify --max-n 7 --max-s 3 --trials 50 --seed {seed}"
+    golden = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
+    assert main(argv.split()) == 0
+    stdout = capsysbinary.readouterr().out
+    assert hashlib.sha256(stdout).hexdigest() == golden["digests"][argv]
+
+
 COEFF_ROWS = st.lists(
     st.tuples(
         st.integers(),
@@ -497,6 +507,12 @@ OUTPUT_SHA256 = {
         "40610d5e33cc3ccfca0e5ba604e882a0fdfc43a2bb8176a2cd23941cb3339adf",
     "expand --n 0 --s 0 --format json":
         "127daf490a9cf4a6ee7b78ad03e48eefa5e249659fbdef54f6629ce579ac85ce",
+    # the empty product prints as 1, recorded at 39e93b8, while each term
+    # renderer still carried its own copy of that rule
+    "bell --n 0 --k 0 --format pretty":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "bell --n 0 --k 0 --format latex":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
 }
 
 

@@ -216,6 +216,10 @@ def test_pretty_and_json_rendering(capsysbinary):
     # orders past 3 switch from prime marks to superscripts
     high = DiffPolynomial.term(monomial(4, 0, {5: 2}))
     assert high.pretty() == "f^(4)·g·φ^(5)^2"
+    # a constant term prints its empty product as 1; a coefficient of 1 is left out
+    mixed = DiffPolynomial({monomial(): -3, monomial(0, 1, {2: 1}): 1})
+    assert mixed.pretty() == "f·g'·φ'' + -3·1"
+    assert mixed.latex() == "f\\,g^{(1)}\\,\\varphi^{(2)} + -3\\,1"
 
 
 def test_canonical_term_order_is_stable():
