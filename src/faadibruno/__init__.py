@@ -23,7 +23,7 @@ _DEFINED_IN = {
     " leibniz_product_expansion monomial nth_derivative_expansion substitute_psi",
     "partitions": "DEFAULT_WEIGHT_CAP CapExceeded Partition enumerate_constrained"
     " enumerate_partitions",
-    "polynomials": "RationalPolynomial check_main_theorem random_polynomial run_random_checks",
+    "polynomials": "RationalPolynomial check_main_theorem random_instances random_polynomial",
     "symfunc": "elementary_by_subpartitions elementary_moments newton_residuals"
     " subtract_transform",
 }

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .diffalg import DiffPolynomial, formula_expansion
 from .partitions import DEFAULT_WEIGHT_CAP
@@ -252,23 +252,24 @@ def random_polynomial(
     )
 
 
-def run_random_checks(
+def random_instances(
     trials: int,
     max_n: int,
     max_s: int,
     seed: int,
     cap: int = DEFAULT_WEIGHT_CAP,
-) -> dict:
-    """Seeded random triples (f, g, phi), each checked for every n <= max_n, s <= max_s."""
+) -> Iterator[dict | None]:
+    """Seeded random triples (f, g, phi), each checked for every n <= max_n, s <= max_s.
+
+    Yields one item per (trial, s, n) in that order: None where both sides
+    agree, or a witness dict naming the instance where they do not.
+    """
     rng = random.Random(seed)
     expansions = {
         (n, s): formula_expansion(n, s, cap=cap)
         for s in range(max_s + 1)
         for n in range(max_n + 1)
     }
-    instances = 0
-    failures = 0
-    first_failure = None
     for trial in range(trials):
         f = random_polynomial(rng)
         g = random_polynomial(rng)
@@ -277,27 +278,13 @@ def run_random_checks(
         for s in range(max_s + 1):
             lhs = f.compose(phi) * g.compose(phi.derivative(s))
             for n in range(max_n + 1):
-                rhs = inst.expansion_value(expansions[(n, s)], s)
-                instances += 1
-                if lhs != rhs:
-                    failures += 1
-                    if first_failure is None:
-                        first_failure = {
-                            "trial": trial,
-                            "n": n,
-                            "s": s,
-                            "f": f.to_strings(),
-                            "g": g.to_strings(),
-                            "phi": phi.to_strings(),
-                        }
+                ok = lhs == inst.expansion_value(expansions[(n, s)], s)
+                yield None if ok else {
+                    "trial": trial,
+                    "n": n,
+                    "s": s,
+                    "f": f.to_strings(),
+                    "g": g.to_strings(),
+                    "phi": phi.to_strings(),
+                }
                 lhs = lhs.derivative()
-    return {
-        "trials": trials,
-        "max_n": max_n,
-        "max_s": max_s,
-        "seed": seed,
-        "instances": instances,
-        "failures": failures,
-        "passed": failures == 0,
-        "first_failure": first_failure,
-    }

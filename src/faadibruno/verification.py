@@ -435,16 +435,13 @@ def _check_leibniz_property(max_n, max_s, rng, trials, cap):
     "for all checked (n, s)",
 )
 def _check_random_polynomials(max_n, max_s, rng, trials, cap):
-    report = polynomials.run_random_checks(
+    yield from polynomials.random_instances(
         trials=trials,
         max_n=min(max_n, 6),
         max_s=min(max_s, 2),
         seed=rng.randint(0, 2**31),
         cap=cap,
     )
-    # one item per checked instance; the report keeps only its first witness
-    yield from [report["first_failure"]] * report["failures"]
-    yield from [None] * (report["instances"] - report["failures"])
 
 
 @_suite(

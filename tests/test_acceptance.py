@@ -37,7 +37,7 @@ from faadibruno.diffalg import (
     substitute_psi,
 )
 from faadibruno.partitions import enumerate_partitions
-from faadibruno.polynomials import RationalPolynomial, check_main_theorem, run_random_checks
+from faadibruno.polynomials import RationalPolynomial, check_main_theorem, random_instances
 from faadibruno.symfunc import (
     elementary_by_subpartitions,
     elementary_moments,
@@ -174,10 +174,11 @@ def test_criterion_08_concrete_polynomial_checks():
         1,
     )
     assert hand["equal"] and hand["lhs"] == ["0", "0", "0", "40"]
-    outcome = run_random_checks(trials=200, max_n=6, max_s=2, seed=20240801)
-    assert outcome["passed"], outcome["first_failure"]
-    assert outcome["instances"] == 200 * 7 * 3
-    report(8, f"hand case 40t^3 plus {outcome['instances']} seeded random polynomial "
+    items = list(random_instances(trials=200, max_n=6, max_s=2, seed=20240801))
+    witnesses = [item for item in items if item is not None]
+    assert not witnesses, witnesses[0]
+    assert len(items) == 200 * 7 * 3
+    report(8, f"hand case 40t^3 plus {len(items)} seeded random polynomial "
               "instances, all exactly equal")
 
 

@@ -47,8 +47,8 @@ PUBLIC_NAMES = {
     "partial_bell",
     "product_form_complete",
     "product_form_partial",
+    "random_instances",
     "random_polynomial",
-    "run_random_checks",
     "run_verification",
     "stirling2",
     "stirling_convolution",

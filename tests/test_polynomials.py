@@ -12,8 +12,8 @@ from faadibruno.polynomials import (
     FormulaInstantiator,
     RationalPolynomial,
     check_main_theorem,
+    random_instances,
     random_polynomial,
-    run_random_checks,
 )
 
 from helpers import (
@@ -126,13 +126,12 @@ def test_s0_equals_derivative_of_product_composition():
 
 
 def test_random_checks_report():
-    report = run_random_checks(trials=10, max_n=4, max_s=2, seed=123)
-    assert report["passed"]
-    assert report["failures"] == 0
-    assert report["instances"] == 10 * 5 * 3
-    assert report["first_failure"] is None
-    again = run_random_checks(trials=10, max_n=4, max_s=2, seed=123)
-    assert again == report
+    items = list(random_instances(trials=10, max_n=4, max_s=2, seed=123))
+    # one item per checked instance, every one None: no failure and no witness
+    assert len(items) == 10 * 5 * 3
+    assert items == [None] * len(items)
+    again = list(random_instances(trials=10, max_n=4, max_s=2, seed=123))
+    assert again == items
 
 
 def test_random_polynomial_bounds():

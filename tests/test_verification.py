@@ -87,6 +87,29 @@ def test_passing_integrality_report_counts_every_entry(monkeypatch):
     assert result["passed"] is True and result["counterexample"] is None
 
 
+def test_random_instances_checked_before_an_error_are_counted(monkeypatch):
+    # the concrete oracle raises on its 5th call: the 4 instances it checked
+    # before that count, and the error is one more failing instance
+    real = polynomials.FormulaInstantiator.expansion_value
+    calls = []
+
+    def raising(self, expansion, s):
+        calls.append(s)
+        if len(calls) == 5:
+            raise ZeroDivisionError("probe")
+        return real(self, expansion, s)
+
+    monkeypatch.setattr(polynomials.FormulaInstantiator, "expansion_value", raising)
+    only_suite(monkeypatch, "random_polynomial_instances")
+    (result,) = verification.run_all(max_n=3, max_s=1, seed=0, trials=4)["identities"]
+    assert (result["instances"], result["failures"], result["counterexample"]) == (
+        5,
+        1,
+        {"error": "ZeroDivisionError: probe"},
+    )
+    assert result["passed"] is False
+
+
 @pytest.mark.parametrize(
     "key, instances",
     [("newton_identity_residual_zero", 18018), ("elementary_subtract_transform", 10296)],
