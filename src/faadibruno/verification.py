@@ -56,6 +56,14 @@ def _multisets(card_max: int, entry_max: int):
             yield combo[::-1]
 
 
+def _triangle(n_stop: int, r_extra: int = 0):
+    """(n, k, r) for 0 <= k <= n < n_stop and 0 <= r <= k + r_extra, by n, then k, then r."""
+    for n in range(n_stop):
+        for k in range(n + 1):
+            for r in range(k + r_extra + 1):
+                yield n, k, r
+
+
 # ---------------------------------------------------------------------------
 # the registry and the runner
 # ---------------------------------------------------------------------------
@@ -470,17 +478,15 @@ def _check_bell_product_form(max_n, max_s, rng, trials, cap):
 )
 def _check_bell_homogeneity(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                for r in range(k + 1):
-                    poly = bell.modified_partial_bell(n, k, r, s, cap=cap)
-                    for exps, _c in poly:
-                        ok = (
-                            bell.term_degree(exps) == k
-                            and bell.term_weighted_degree(exps) == n + r * s
-                            and not any(n + 1 - k < i <= s for i, _ in exps)
-                        )
-                        yield None if ok else {"n": n, "k": k, "r": r, "s": s}
+        for n, k, r in _triangle(max_n + 1):
+            poly = bell.modified_partial_bell(n, k, r, s, cap=cap)
+            for exps, _c in poly:
+                ok = (
+                    bell.term_degree(exps) == k
+                    and bell.term_weighted_degree(exps) == n + r * s
+                    and not any(n + 1 - k < i <= s for i, _ in exps)
+                )
+                yield None if ok else {"n": n, "k": k, "r": r, "s": s}
 
 
 @_suite(
@@ -490,22 +496,20 @@ def _check_bell_homogeneity(max_n, max_s, rng, trials, cap):
 )
 def _check_bell_recurrence(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
-        for n in range(max_n):
-            for k in range(n + 1):
-                for r in range(k + 2):
-                    lhs = bell.modified_partial_bell(n + 1, k + 1, r, s, cap=cap)
-                    rhs = bell.YPolynomial.zero()
-                    for l in range(n - k + 1):
-                        rhs = rhs + comb(n, l) * (
-                            bell.YPolynomial.variable(l + 1)
-                            * bell.modified_partial_bell(n - l, k, r, s, cap=cap)
-                        )
-                        if r >= 1:
-                            rhs = rhs + comb(n, l) * (
-                                bell.YPolynomial.variable(l + s + 1)
-                                * bell.modified_partial_bell(n - l, k, r - 1, s, cap=cap)
-                            )
-                    yield None if lhs == rhs else {"n": n, "k": k, "r": r, "s": s}
+        for n, k, r in _triangle(max_n, 1):
+            lhs = bell.modified_partial_bell(n + 1, k + 1, r, s, cap=cap)
+            rhs = bell.YPolynomial.zero()
+            for l in range(n - k + 1):
+                rhs = rhs + comb(n, l) * (
+                    bell.YPolynomial.variable(l + 1)
+                    * bell.modified_partial_bell(n - l, k, r, s, cap=cap)
+                )
+                if r >= 1:
+                    rhs = rhs + comb(n, l) * (
+                        bell.YPolynomial.variable(l + s + 1)
+                        * bell.modified_partial_bell(n - l, k, r - 1, s, cap=cap)
+                    )
+            yield None if lhs == rhs else {"n": n, "k": k, "r": r, "s": s}
 
 
 def _stirling_by_definition(n, k, r, cap):
@@ -518,14 +522,12 @@ def _stirling_by_definition(n, k, r, cap):
     "to the same number regardless of s",
 )
 def _check_stirling_s_independent(max_n, max_s, rng, trials, cap):
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            for r in range(k + 1):
-                expected = bell.modified_stirling(n, k, r)
-                for s in range(max_s + 1):
-                    image = bell.modified_partial_bell(n, k, r, s, cap=cap).substitute_geometric()
-                    wanted = {(n + r * s, k): expected} if expected else {}
-                    yield None if image == wanted else {"n": n, "k": k, "r": r, "s": s}
+    for n, k, r in _triangle(max_n + 1):
+        expected = bell.modified_stirling(n, k, r)
+        for s in range(max_s + 1):
+            image = bell.modified_partial_bell(n, k, r, s, cap=cap).substitute_geometric()
+            wanted = {(n + r * s, k): expected} if expected else {}
+            yield None if image == wanted else {"n": n, "k": k, "r": r, "s": s}
 
 
 @_suite(
@@ -546,11 +548,9 @@ def _check_stirling_base_row(max_n, max_s, rng, trials, cap):
     "modified Stirling number",
 )
 def _check_stirling_convolution(max_n, max_s, rng, trials, cap):
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            for r in range(k + 1):
-                ok = bell.stirling_convolution(n, k, r) == _stirling_by_definition(n, k, r, cap)
-                yield None if ok else {"n": n, "k": k, "r": r}
+    for n, k, r in _triangle(max_n + 1):
+        ok = bell.stirling_convolution(n, k, r) == _stirling_by_definition(n, k, r, cap)
+        yield None if ok else {"n": n, "k": k, "r": r}
 
 
 @_suite(
@@ -561,21 +561,19 @@ def _check_stirling_convolution(max_n, max_s, rng, trials, cap):
 )
 def _check_stirling_convolution_unweighted(max_n, max_s, rng, trials, cap):
     # deliberately checks the variant WITHOUT the binomial weight; it is false
-    for n in range(max_n + 1):
-        for k in range(n + 1):
-            for r in range(k + 1):
-                unweighted = sum(
-                    bell.stirling2(n - p, k - r) * bell.stirling2(p, r)
-                    for p in range(r, n - k + r + 1)
-                )
-                definitional = _stirling_by_definition(n, k, r, cap)
-                yield None if unweighted == definitional else {
-                    "n": n,
-                    "k": k,
-                    "r": r,
-                    "unweighted_value": unweighted,
-                    "definition_value": definitional,
-                }
+    for n, k, r in _triangle(max_n + 1):
+        unweighted = sum(
+            bell.stirling2(n - p, k - r) * bell.stirling2(p, r)
+            for p in range(r, n - k + r + 1)
+        )
+        definitional = _stirling_by_definition(n, k, r, cap)
+        yield None if unweighted == definitional else {
+            "n": n,
+            "k": k,
+            "r": r,
+            "unweighted_value": unweighted,
+            "definition_value": definitional,
+        }
 
 
 @_suite(
@@ -596,16 +594,14 @@ def _check_stirling_row_sum(max_n, max_s, rng, trials, cap):
     "number",
 )
 def _check_stirling_recurrence(max_n, max_s, rng, trials, cap):
-    for n in range(max_n):
-        for k in range(n + 1):
-            for r in range(k + 2):
-                lhs = bell.modified_stirling(n + 1, k + 1, r)
-                rhs = sum(
-                    comb(n, l)
-                    * (bell.modified_stirling(n - l, k, r) + bell.modified_stirling(n - l, k, r - 1))
-                    for l in range(n - k + 1)
-                )
-                yield None if lhs == rhs else {"n": n, "k": k, "r": r}
+    for n, k, r in _triangle(max_n, 1):
+        lhs = bell.modified_stirling(n + 1, k + 1, r)
+        rhs = sum(
+            comb(n, l)
+            * (bell.modified_stirling(n - l, k, r) + bell.modified_stirling(n - l, k, r - 1))
+            for l in range(n - k + 1)
+        )
+        yield None if lhs == rhs else {"n": n, "k": k, "r": r}
 
 
 @_suite(
@@ -616,22 +612,20 @@ def _check_stirling_recurrence(max_n, max_s, rng, trials, cap):
 )
 def _check_stirling_recurrence_unshifted(max_n, max_s, rng, trials, cap):
     # deliberately checks the variant whose summand ignores l; it is false
-    for n in range(max_n):
-        for k in range(n + 1):
-            for r in range(k + 2):
-                lhs = bell.modified_stirling(n + 1, k + 1, r)
-                rhs = sum(
-                    comb(n, l)
-                    * (bell.modified_stirling(n, k, r) + bell.modified_stirling(n, k, r - 1))
-                    for l in range(n - k + 1)
-                )
-                yield None if lhs == rhs else {
-                    "n": n,
-                    "k": k,
-                    "r": r,
-                    "unshifted_value": rhs,
-                    "definition_value": lhs,
-                }
+    for n, k, r in _triangle(max_n, 1):
+        lhs = bell.modified_stirling(n + 1, k + 1, r)
+        rhs = sum(
+            comb(n, l)
+            * (bell.modified_stirling(n, k, r) + bell.modified_stirling(n, k, r - 1))
+            for l in range(n - k + 1)
+        )
+        yield None if lhs == rhs else {
+            "n": n,
+            "k": k,
+            "r": r,
+            "unshifted_value": rhs,
+            "definition_value": lhs,
+        }
 
 
 def _expand_touchard_sum(n: int) -> dict[tuple[int, int], int]:
