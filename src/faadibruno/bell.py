@@ -15,7 +15,7 @@ from typing import Iterator
 from .coefficients import coefficient_table, constrained_coefficients, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_constrained
 from .sparse import ExponentMap as Exps
-from .sparse import SparsePolynomial, _accumulate, _merge
+from .sparse import SparsePolynomial, _accumulate, _merge, _term
 
 
 def term_degree(exps: Exps) -> int:
@@ -28,14 +28,12 @@ def term_weighted_degree(exps: Exps) -> int:
 
 def _pretty_term(exps: Exps, coeff: int) -> str:
     factors = [f"y{i}" if e == 1 else f"y{i}^{e}" for i, e in exps]
-    body = "·".join(factors) if factors else "1"
-    return body if coeff == 1 else f"{coeff}·{body}"
+    return _term(factors, coeff, "·", "·")
 
 
 def _latex_term(exps: Exps, coeff: int) -> str:
     factors = [f"y_{{{i}}}" if e == 1 else f"y_{{{i}}}^{{{e}}}" for i, e in exps]
-    body = " ".join(factors) if factors else "1"
-    return body if coeff == 1 else f"{coeff}\\, " + body
+    return _term(factors, coeff, " ", "\\, ")
 
 
 class YPolynomial(SparsePolynomial):

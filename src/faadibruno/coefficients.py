@@ -213,9 +213,7 @@ class RecurrenceEvaluator:
                 if entry is None or entry[0] > clo:
                     break
                 values = entry[1]
-                if weight and ck == lo:  # the common case of one shared r
-                    acc[lo] += weight * values[lo]
-                elif weight:
+                if weight:
                     for r in range(lo, ck + 1):
                         acc[r] += weight * values[r]
                 else:

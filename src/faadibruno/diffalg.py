@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 from .coefficients import coefficient_table, faa_di_bruno_coeff
 from .partitions import DEFAULT_WEIGHT_CAP, CapExceeded, enumerate_partitions
-from .sparse import ExponentMap, SparsePolynomial, _canon, _merge
+from .sparse import ExponentMap, SparsePolynomial, _canon, _merge, _term
 
 
 class DiffMonomial(NamedTuple):
@@ -71,10 +71,7 @@ def _pretty_term(mono: DiffMonomial, coeff: int) -> str:
         for i, e in exps:
             sym = _order_marks(base, i)
             factors.append(sym if e == 1 else f"{sym}^{e}")
-    body = "·".join(factors) if factors else "1"
-    if coeff == 1:
-        return body
-    return f"{coeff}·{body}"
+    return _term(factors, coeff, "·", "·")
 
 
 def _latex_term(mono: DiffMonomial, coeff: int) -> str:
@@ -87,10 +84,7 @@ def _latex_term(mono: DiffMonomial, coeff: int) -> str:
         for i, e in exps:
             piece = f"{sym}^{{({i})}}"
             factors.append(piece if e == 1 else f"\\big({piece}\\big)^{{{e}}}")
-    body = r"\,".join(factors) if factors else "1"
-    if coeff == 1:
-        return body
-    return f"{coeff}\\," + body
+    return _term(factors, coeff, r"\,", r"\,")
 
 
 class DiffPolynomial(SparsePolynomial):

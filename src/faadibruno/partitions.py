@@ -38,7 +38,7 @@ class Partition:
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         parts = tuple(parts)
         for a in parts:
-            if not isinstance(a, int) or a <= 0:
+            if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
                 raise ValueError(f"partition parts must be positive integers, got {a!r}")
         return cls._make(tuple(sorted(parts, reverse=True)))
 

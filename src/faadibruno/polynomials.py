@@ -261,8 +261,7 @@ def random_instances(
 ) -> Iterator[dict | None]:
     """Seeded random triples (f, g, phi), each checked for every n <= max_n, s <= max_s.
 
-    Yields one item per (trial, s, n) in that order: None where both sides
-    agree, or a witness dict naming the instance where they do not.
+    One item per (trial, s, n), in that order: None, or a witness where the sides differ.
     """
     rng = random.Random(seed)
     expansions = {

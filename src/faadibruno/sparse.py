@@ -37,12 +37,18 @@ def _accumulate(acc: dict, key: Hashable, coeff: int) -> None:
         acc.pop(key, None)
 
 
+def _term(factors: list[str], coeff: int, join: str, mark: str) -> str:
+    """One rendered term: a coefficient of 1 is left out, and the empty product prints as 1."""
+    body = join.join(factors) or "1"
+    return body if coeff == 1 else f"{coeff}{mark}{body}"
+
+
 class SparsePolynomial:
     """Sparse integer polynomial over hashable monomial keys.
 
     Subclass hooks: ``_key_product(k1, k2)``, ``_order(key)`` with the
     ``_descending`` flag for :meth:`terms`, and ``_pretty_term`` /
-    ``_latex_term(key, coeff)`` for rendering.
+    ``_latex_term(key, coeff)``, which render one term's factors through :func:`_term`.
     """
 
     __slots__ = ("_terms",)

@@ -50,7 +50,7 @@ def test_order_insensitive_equality_and_hash():
     assert Partition([2]) != Partition([1, 1])
 
 
-@pytest.mark.parametrize("bad", [0, -1, "2"])
+@pytest.mark.parametrize("bad", [0, -1, "2", True, 2.0])
 def test_make_partition_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         Partition([bad])
