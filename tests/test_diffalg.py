@@ -136,6 +136,7 @@ def test_substitute_psi():
     assert substitute_psi(z1, 1) == DiffPolynomial.term(monomial(0, 0, {2: 1}))
     assert substitute_psi(z1, 0) == DiffPolynomial.term(monomial(0, 0, {1: 1}))
     assert substitute_psi(leibniz_product_expansion(2), 1) == nth_derivative_expansion(2, 1)
+    assert substitute_psi(formula_expansion(3, 1), 1) == formula_expansion(3, 1)  # no psi factor
 
 
 def test_substitution_bridge_grid():

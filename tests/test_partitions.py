@@ -270,6 +270,8 @@ def test_truncate_above():
     assert Partition([1, 1]).truncate_above(1) == Partition([])
     lam = Partition([5, 3, 3, 1])
     assert lam.truncate_above(0) == lam
+    kept = Partition([5, 3]).truncate_above(2)
+    assert kept == Partition([5, 3]) and kept.items() == Partition([5, 3]).items()
 
 
 def test_truncation_fixed_point_characterization():

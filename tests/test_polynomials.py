@@ -349,3 +349,13 @@ def test_hash_consistent_for_unreduced_input():
     assert (RationalPolynomial()._num, RationalPolynomial()._den) == ((), 1)
     assert RationalPolynomial([0, Fraction(0, 5)]) == RationalPolynomial()
     assert len({p, q, r, RationalPolynomial([1]), RationalPolynomial(["3/3"])}) == 2
+
+
+def test_product_with_zero_is_the_canonical_zero():
+    zero = RationalPolynomial()
+    for product in (
+        zero * RationalPolynomial([1, 2]),
+        RationalPolynomial([1, 2]) * zero,
+        RationalPolynomial([Fraction(1, 3)]) * zero,
+    ):
+        assert (product._num, product._den) == ((), 1)

@@ -98,6 +98,11 @@ def test_elementary_by_subpartitions_examples():
     assert elementary_by_subpartitions(Partition([2]), 1, 1) == 2
     for eta in (Partition([3, 1]), Partition([]), Partition([5, 5, 2])):
         assert elementary_by_subpartitions(eta, 0, 0) == 1
+        assert elementary_by_subpartitions(eta, 0, eta.length + 1) == 0
+    assert elementary_by_subpartitions(Partition([]), 2, 0) == 1
+    # (4)_2 = 12 and (3)_2 = 6: e = (1, 18, 72), and 0 past the length
+    values = [elementary_by_subpartitions(Partition([4, 3]), 2, r) for r in range(4)]
+    assert values == [1, 18, 72, 0]
     with pytest.raises(ValueError):
         elementary_by_subpartitions(Partition([2, 1]), 1, 1)
 
