@@ -166,11 +166,7 @@ def product_form_partial(
     total = YPolynomial.zero()
     for p in range(r, n - k + r + 1):
         left = partial_bell(n - p, k - r, cap=cap)
-        if not left:
-            continue
         right = partial_bell(p, r, cap=cap).shift_vars(s)
-        if not right:
-            continue
         total = total + comb(n, p) * (left * right)
     return total
 

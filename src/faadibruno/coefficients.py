@@ -11,7 +11,6 @@ closed formula is the production path; the recurrence is the cross-check.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, factorial, perm
 from typing import Iterator
 
@@ -34,21 +33,16 @@ class CrossCheckError(ArithmeticError):
     """Closed-form and recurrence evaluations disagree."""
 
 
-@lru_cache(maxsize=None)
-def _fact(n: int) -> int:
-    return factorial(n)
-
-
 def _denominator(lam: Partition) -> int:
     d = 1
     for i, m in lam.items():
-        d *= _fact(i) ** m * _fact(m)
+        d *= factorial(i) ** m * factorial(m)
     return d
 
 
 def faa_di_bruno_coeff(lam: Partition) -> int:
     """weight! / prod_i (i!)^m_i m_i!  (the number of set partitions of type lam)."""
-    num = _fact(lam.weight)
+    num = factorial(lam.weight)
     den = _denominator(lam)
     q, rem = divmod(num, den)
     if rem:  # cannot happen: the quotient counts set partitions
@@ -72,7 +66,7 @@ def c_coeff(lam: Partition, r: int, s: int) -> int:
         return 0
     trunc = lam.truncate_above(s)
     e_r = elementary_moments(trunc.pochhammer(s), r)[r]
-    q, rem = divmod(_fact(n) * e_r, _denominator(lam))
+    q, rem = divmod(factorial(n) * e_r, _denominator(lam))
     if rem:
         raise IntegralityError(f"C({lam!r}, r={r}, s={s}) is not an integer")
     return q
@@ -108,17 +102,17 @@ def constrained_coefficients(
             if len(e) <= r:
                 grown.append(x * e[-1])
             e = (1, *grown)
-        return e, den * _fact(i) * m, lam_push(lam, i, m)
+        return e, den * factorial(i) * m, lam_push(lam, i, m)
 
     def close(state, ones):
         e, den, lam = state
         e_r = e[r] if r < len(e) else 0
         if ones:
-            den *= _fact(ones)
+            den *= factorial(ones)
             if s == 0:
                 low = max(r - len(e) + 1, 0)
                 e_r = sum(comb(ones, j) * e[r - j] for j in range(low, min(ones, r) + 1))
-        q, rem = divmod(_fact(n) * e_r, den)
+        q, rem = divmod(factorial(n) * e_r, den)
         if rem:
             raise IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
         return lam_close(lam, ones), q

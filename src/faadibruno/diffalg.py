@@ -238,8 +238,6 @@ def substitute_psi(poly: DiffPolynomial, s: int) -> DiffPolynomial:
         raise ValueError("s must be non-negative")
 
     def moved(mono: DiffMonomial) -> DiffMonomial:
-        if not mono.z:
-            return mono
         y = _merge(mono.y, ((i + s, e) for i, e in mono.z))
         return DiffMonomial(mono.f_order, mono.g_order, y, ())
 

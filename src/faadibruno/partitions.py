@@ -99,8 +99,6 @@ class Partition:
     def truncate_above(self, s: int) -> "Partition":
         """Keep only the parts strictly greater than s (s = 0 is the identity)."""
         k = self.length_above(s)
-        if k == len(self._parts):
-            return self
         return Partition._make(self._parts[:k])
 
     def pochhammer(self, s: int) -> tuple[int, ...]:

@@ -107,8 +107,6 @@ class RationalPolynomial:
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         a, b = self._num, other._num
-        if not a or not b:
-            return RationalPolynomial()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:

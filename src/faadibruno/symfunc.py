@@ -7,7 +7,8 @@ both work from a single elementary vector per multiset.
 
 from __future__ import annotations
 
-from math import comb, perm
+from itertools import product
+from math import comb, perm, prod
 
 from .partitions import Partition
 
@@ -85,16 +86,8 @@ def elementary_by_subpartitions(eta: Partition, s: int, r: int) -> int:
     items = eta.items()
     if s >= 1 and any(i <= s for i, _ in items):
         raise ValueError(f"every part must exceed s={s}")
-
-    def descend(idx: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if idx == len(items):
-            return 0
-        i, m = items[idx]
-        total = 0
-        for chosen in range(min(m, remaining) + 1):
-            total += comb(m, chosen) * perm(i, s) ** chosen * descend(idx + 1, remaining - chosen)
-        return total
-
-    return descend(0, r)
+    return sum(
+        prod(comb(m, c) * perm(i, s) ** c for (i, m), c in zip(items, chosen))
+        for chosen in product(*(range(m + 1) for _, m in items))
+        if sum(chosen) == r
+    )

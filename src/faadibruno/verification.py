@@ -504,11 +504,10 @@ def _check_bell_recurrence(max_n, max_s, rng, trials, cap):
                     bell.YPolynomial.variable(l + 1)
                     * bell.modified_partial_bell(n - l, k, r, s, cap=cap)
                 )
-                if r >= 1:
-                    rhs = rhs + comb(n, l) * (
-                        bell.YPolynomial.variable(l + s + 1)
-                        * bell.modified_partial_bell(n - l, k, r - 1, s, cap=cap)
-                    )
+                rhs = rhs + comb(n, l) * (
+                    bell.YPolynomial.variable(l + s + 1)
+                    * bell.modified_partial_bell(n - l, k, r - 1, s, cap=cap)
+                )
             yield None if lhs == rhs else {"n": n, "k": k, "r": r, "s": s}
 
 

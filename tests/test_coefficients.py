@@ -52,6 +52,8 @@ def test_c_coeff_hand_values():
 def test_c_coeff_vanishing_and_preconditions():
     # too few parts above s: the elementary factor dies
     assert c_coeff(Partition([1, 1]), 1, 1) == 0
+    # at s = 0 the weight does not bound r: the zero comes without a vector of degree r
+    assert c_coeff(Partition([2, 1]), 10**12, 0) == 0
     with pytest.raises(ValueError):
         c_coeff(Partition([1]), 2, 1)  # weight < r*s
     with pytest.raises(ValueError):
