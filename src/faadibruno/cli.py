@@ -393,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError, RecursionError) as exc:  # CapExceeded is a ValueError
+    except (ValueError, OSError, OverflowError, RecursionError) as exc:  # CapExceeded: a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -186,6 +186,8 @@ def nth_derivative_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> D
 
 def formula_expansion(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> DiffPolynomial:
     """The closed-formula expansion: sum of C(lam, r, s) F_{len-r} G_r prod Y_i^m_i."""
+    if n < 0 or s < 0:
+        raise ValueError("n and s must be non-negative")
     CapExceeded.check(n * (1 + s), cap, f"formula expansion (n={n}, s={s})")
     return DiffPolynomial(
         (DiffMonomial(lam.length - r, r, lam.items(), ()), c)

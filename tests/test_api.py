@@ -300,3 +300,28 @@ def test_no_module_reads_a_private_name_of_another_layer():
         for path in sorted(package.glob("*.py"))
     }
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_readme_quick_start_gives_the_values_its_comments_name():
+    # the fenced Python block under "Library quick start", run statement by statement
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            expression = compile(ast.Expression(node.value), "README.md", "eval")
+            values.append(eval(expression, namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    table = values.pop(1)
+    assert table[0] == (0, faadibruno.Partition([2]), 1)
+    assert values == [
+        2,
+        True,
+        (True, ["0", "0", "0", "40"]),
+        "2·y1^2",
+        2,
+        (0, 0, 0, 0),
+        (1, 4, 4, 0),
+    ]

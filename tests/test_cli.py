@@ -714,6 +714,25 @@ def test_running_out_of_memory_exits_2_with_one_error_line(module, builder, argv
     assert run_main(argv) == (2, b"", "error: out of memory\n")
 
 
+HUGE = str(2**63)  # one past the largest argument of math.perm and math.factorial
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        pytest.param(["coeff", "--n", "1", "--s", HUGE, "--format", "csv"], b"0,1,1\n", id="c-s"),
+        pytest.param(["bell", "--n", "1", "--k", "1", "--r", "1", "--s", HUGE], b"", id="bell-s"),
+        pytest.param(["coeff", "--n", HUGE, "--s", "0", "--format", "csv"], b"", id="c-n"),
+        pytest.param(["expand", "--n", HUGE, "--s", "0"], b"", id="expand-n"),
+    ],
+)
+def test_an_overflow_under_a_raised_cap_exits_2_with_one_error_line(argv, written):
+    # the rows written before the overflow stay written, as after running out of memory
+    code, stdout, stderr = run_main([*argv, "--cap", "99999999999999999999999"])
+    assert (code, stdout) == (2, written)
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 SMALL_VERIFY = ["verify", "--max-n", "3", "--max-s", "1", "--trials", "2"]
 
 

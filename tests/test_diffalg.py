@@ -204,6 +204,15 @@ def test_cap_enforced():
         faa_expansion(100)
 
 
+@pytest.mark.parametrize("expansion", [formula_expansion, nth_derivative_expansion])
+def test_negative_arguments_are_refused_before_the_cap(expansion):
+    # n * (1 + s) = 200 would exceed the cap: the arguments are checked first
+    with pytest.raises(ValueError) as info:
+        expansion(-100, -3)
+    assert not isinstance(info.value, CapExceeded)
+    assert str(info.value) == "n and s must be non-negative"
+
+
 def test_pretty_and_json_rendering(capsysbinary):
     expansion = formula_expansion(1, 1)
     assert expansion.pretty() == "f'·g·φ' + f·g'·φ''"
