@@ -437,7 +437,8 @@ def test_modified_partial_bell_vanishes_before_any_check_or_cache():
 
 def test_verify_builds_each_modified_bell_polynomial_once():
     # a clockless work pin: the Bell suites of verify (7, 3, 50) call
-    # modified_partial_bell 4,300 times on 480 in-range argument sets
+    # modified_partial_bell 4,636 times on 480 in-range argument sets; the
+    # 336 calls with r = -1 are out of range and answered before the cache
     modified_partial_bell.cache_clear()
     report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
     assert report["passed"] is True
