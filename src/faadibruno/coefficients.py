@@ -16,7 +16,6 @@ from typing import Iterator
 
 from .partitions import (
     DEFAULT_WEIGHT_CAP,
-    PARTITION_FOLD,
     CapExceeded,
     Partition,
     enumerate_constrained,
@@ -78,34 +77,31 @@ def constrained_coefficients(
     """(lam, C(lam, r, s)) for each lam of enumerate_constrained(n, r, s, cap, length).
 
     Same partitions in the same order, each coefficient folded along the
-    partition walk instead of rebuilt per entry.  A state is the tuple
-    (e, den, lam): e is the elementary vector, to degree r, of the falling
-    factorials (i)_s of the placed parts i > s, den is the running
-    prod_i (i!)^m_i m_i!, and lam is the state of partitions.PARTITION_FOLD,
-    advanced and closed by that fold's own push and close, so the leaf's
-    partition is built without recounting.  Placing a part i whose
-    multiplicity becomes m multiplies den by i! * m and, when i > s,
+    partition walk instead of rebuilt per entry; the walk pairs it with the
+    partition it builds.  A state is the pair (e, den): e is the elementary
+    vector, to degree r, of the falling factorials (i)_s of the placed parts
+    i > s, and den is the running prod_i (i!)^m_i m_i!.  Placing a part i
+    whose multiplicity becomes m multiplies den by i! * m and, when i > s,
     multiplies e by 1 + (i)_s X; both cost O(r) once per shared prefix.  The
     trailing run of t ones closes the fold at the leaf: den gains t!, and for
     s = 0, where each 1 is a part above s with (1)_0 = 1, e_r becomes
     sum_j binom(t, j) e_{r-j}.  Integrality is asserted as in :func:`c_coeff`,
     which stays the independent per-entry form.
     """
-    lam_start, lam_push, lam_close = PARTITION_FOLD
 
     def push(state, i, m):
         # e holds degrees 0..min(parts above s so far, r); higher ones are 0
-        e, den, lam = state
+        e, den = state
         if i > s:
             x = perm(i, s)
             grown = [a + x * b for a, b in zip(e[1:], e)]
             if len(e) <= r:
                 grown.append(x * e[-1])
             e = (1, *grown)
-        return e, den * factorial(i) * m, lam_push(lam, i, m)
+        return e, den * factorial(i) * m
 
     def close(state, ones):
-        e, den, lam = state
+        e, den = state
         e_r = e[r] if r < len(e) else 0
         if ones:
             den *= factorial(ones)
@@ -115,9 +111,9 @@ def constrained_coefficients(
         q, rem = divmod(factorial(n) * e_r, den)
         if rem:
             raise IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
-        return lam_close(lam, ones), q
+        return q
 
-    start = ((1,), 1, lam_start)
+    start = ((1,), 1)
     return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(start, push, close))
 
 

@@ -142,7 +142,7 @@ class Partition:
         return f"Partition({list(self._parts)})"
 
 
-def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterator:
+def _descending(total: int, r: int, s: int, length: int | None, fold=None) -> Iterator:
     # Partitions of total with at least r parts greater than s (and exactly
     # `length` parts unless None), in decreasing lexicographic order of the
     # summand sequence.  A depth-first walk over the parts, largest first, kept
@@ -156,20 +156,21 @@ def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterato
     # least ceil(rem / slots); without a length, drop the slot terms.  A
     # trailing run of 1s is placed in one step, which keeps the walk O(1)
     # amortized per partition.
-    # Each placed part above 1 is one frame (part, m, lo, state): m its
-    # multiplicity so far, lo its smallest admissible value, and state the
-    # fold state before it (see enumerate_constrained); the current state is
-    # a local, restored from the frame popped on backtracking, and each leaf
-    # yields close(state, ones) alone.
+    # Each placed part above 1 is one frame (part, m, lo, parts, items, state):
+    # m its multiplicity so far, lo its smallest admissible value, and the
+    # prefix before it: its descending parts, their ascending (part,
+    # multiplicity) items and the fold state (see enumerate_constrained).  The
+    # current prefix is held in locals, restored from the frame popped on
+    # backtracking; each leaf builds its partition from it.
     if length is None:
         if r * (s + 1) > total:
             return
     elif r > length or r * s + length > total or (length == 0) != (total == 0):
         return
     step = s + 1
-    start, push, close = fold
+    state, push, close = fold or (None, None, None)
     frames: list[tuple] = []  # one per placed part above 1, parts decreasing
-    state = start
+    parts, items = (), ()
     rem, above, ones = total, 0, 0
     pending = 0  # after backtracking: the next value of the part just removed
     while True:
@@ -193,15 +194,20 @@ def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterato
                 ones, rem = rem, 0
                 break
             m = frames[-1][1] + 1 if frames and frames[-1][0] == part else 1
-            frames.append((part, m, lo, state))
-            state = push(state, part, m)
+            frames.append((part, m, lo, parts, items, state))
+            # a new part is below every placed one, so it heads the ascending
+            # items, or raises the count of the one heading them
+            parts, items = parts + (part,), ((part, m),) + (items[1:] if m > 1 else items)
+            if push:
+                state = push(state, part, m)
             rem -= part
             if part > s:
                 above += 1
-        yield close(state, ones)
+        lam = Partition._make(parts + (1,) * ones, ((1, ones),) + items if ones else items)
+        yield (lam, close(state, ones)) if close else lam
         rem, ones = ones, 0
         while frames:
-            part, _, lo, state = frames.pop()
+            part, _, lo, parts, items, state = frames.pop()
             rem += part
             if part > s:
                 above -= 1
@@ -210,26 +216,6 @@ def _descending(total: int, r: int, s: int, length: int | None, fold) -> Iterato
                 break
         else:
             return
-
-
-def _push_part(state: tuple, part: int, m: int) -> tuple:
-    # (parts, items) of the prefix: a new part is below every placed one, so
-    # it heads the ascending items, or raises the count of the one heading them
-    parts, items = state
-    return parts + (part,), ((part, m),) + (items[1:] if m > 1 else items)
-
-
-def _close_partition(state: tuple, ones: int) -> Partition:
-    parts, items = state
-    if ones:
-        parts, items = parts + (1,) * ones, ((1, ones),) + items
-    return Partition._make(parts, items)
-
-
-# The fold of a walk that yields the partitions themselves.  Its state, the
-# placed parts and their (part, multiplicity) items, is the partition format:
-# another fold may carry it as an opaque part of its own state.
-PARTITION_FOLD = (((), ()), _push_part, _close_partition)
 
 
 def modifications(parts: tuple[int, ...]) -> Iterator[tuple]:
@@ -254,7 +240,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> Iterator[Part
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     CapExceeded.check(n, cap, "partition enumeration")
-    return _descending(n, 0, 0, None, PARTITION_FOLD)
+    return _descending(n, 0, 0, None)
 
 
 def partition_count_dp(n_max: int) -> list[int]:
@@ -278,14 +264,16 @@ def enumerate_constrained(
     produced.  The cost is proportional to the partitions produced, not to
     all partitions of n + r*s.
 
-    With *fold* = (start, push, close), each item is a value folded along
-    the walk instead of a partition, and no partition is built: placing a
-    part p > 1 whose multiplicity becomes m maps the state before it (start
-    for the first part) to push(state, p, m), and the item is
-    close(state, ones), with ones the number of trailing 1s, which are never
-    pushed.  Partitions sharing a prefix share its states, so a push costs
-    once per prefix; every partition with a part above 1 is its own prefix,
-    so a walk over all partitions of n >= 1 pushes p(n) - 1 parts.
+    With *fold* = (start, push, close), each item is the pair (partition,
+    value), the value folded along the walk: placing a part p > 1 whose
+    multiplicity becomes m maps the state before it (start for the first
+    part) to push(state, p, m), and the value is close(state, ones), with
+    ones the number of trailing 1s, which are never pushed.  (A folding walk
+    once yielded the value alone; the pair is yielded on purpose, since the
+    walk builds every partition itself.)  Partitions sharing a prefix share
+    its states, so a push costs once per prefix; every partition with a part
+    above 1 is its own prefix, so a walk over all partitions of n >= 1
+    pushes p(n) - 1 parts.
     """
     if n < 0 or r < 0 or s < 0:
         raise ValueError("n, r, s must be non-negative")
@@ -293,4 +281,4 @@ def enumerate_constrained(
         raise ValueError("length must be non-negative")
     weight = n + r * s
     CapExceeded.check(weight, cap, "constrained enumeration")
-    return _descending(weight, r, s, length, fold or PARTITION_FOLD)
+    return _descending(weight, r, s, length, fold)

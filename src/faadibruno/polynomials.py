@@ -95,12 +95,16 @@ class RationalPolynomial:
         return cls._make(out, common * den)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         return self._combine(((1, self), (1, other)))
 
     def __neg__(self) -> "RationalPolynomial":
         return self._make([-x for x in self._num], self._den)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
+        if not isinstance(other, RationalPolynomial):
+            return NotImplemented
         return self._combine(((1, self), (-1, other)))
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":

@@ -459,12 +459,11 @@ def _check_random_polynomials(max_n, max_s, rng, trials, cap):
 )
 def _check_bell_product_form(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
+        for n, k, r in _triangle(max_n + 1):
+            direct = bell.modified_partial_bell(n, k, r, s, cap=cap)
+            convolved = bell.product_form_partial(n, k, r, s, cap=cap)
+            yield None if direct == convolved else {"n": n, "k": k, "r": r, "s": s}
         for n in range(max_n + 1):
-            for k in range(n + 1):
-                for r in range(k + 1):
-                    direct = bell.modified_partial_bell(n, k, r, s, cap=cap)
-                    convolved = bell.product_form_partial(n, k, r, s, cap=cap)
-                    yield None if direct == convolved else {"n": n, "k": k, "r": r, "s": s}
             ok = bell.modified_complete_bell(n, s, cap=cap) == bell.product_form_complete(
                 n, s, cap=cap
             )

@@ -114,24 +114,46 @@ def test_tables_are_streams_and_the_removed_methods_stay_removed():
         assert not hasattr(poly, "to_json_list")
 
 
-def test_a_folding_enumeration_yields_fold_values_alone(monkeypatch):
-    # a folding walk yielded (partition, value) pairs before; now it yields the
-    # value alone and builds no Partition on the way.  At r = s = 0 the
-    # constrained walk is the walk over every partition of n, which takes no fold
+def test_a_folding_enumeration_yields_partition_value_pairs():
+    # a folding walk yielded the fold's value alone before; now it yields
+    # (partition, value) pairs, since the walk builds every partition itself.
+    # At r = s = 0 the constrained walk is the walk over every partition of n,
+    # which takes no fold
     assert "fold" not in inspect.signature(faadibruno.enumerate_partitions).parameters
-    def no_partition(cls, *args):
-        raise AssertionError("a folding walk built a Partition")
-
-    monkeypatch.setattr(faadibruno.Partition, "_make", classmethod(no_partition))
+    P = faadibruno.Partition
     fold = ("", lambda state, part, m: f"{state}{part}^{m} ", lambda state, ones: (state, ones))
     assert list(faadibruno.enumerate_constrained(4, 0, 0, fold=fold)) == [
-        ("4^1 ", 0),
-        ("3^1 ", 1),
-        ("2^1 2^2 ", 0),
-        ("2^1 ", 2),
-        ("", 4),
+        (P([4]), ("4^1 ", 0)),
+        (P([3, 1]), ("3^1 ", 1)),
+        (P([2, 2]), ("2^1 2^2 ", 0)),
+        (P([2, 1, 1]), ("2^1 ", 2)),
+        (P([1, 1, 1, 1]), ("", 4)),
     ]
-    assert list(faadibruno.enumerate_constrained(2, 1, 1, fold=fold)) == [("3^1 ", 0), ("2^1 ", 1)]
+    assert list(faadibruno.enumerate_constrained(2, 1, 1, fold=fold)) == [
+        (P([3]), ("3^1 ", 0)),
+        (P([2, 1]), ("2^1 ", 1)),
+    ]
+
+
+def test_a_walk_builds_one_partition_per_item(monkeypatch):
+    # the walk builds each partition it yields once, with or without a fold,
+    # and nothing on the way builds another
+    made = []
+    make = faadibruno.Partition._make.__func__
+
+    def counted(cls, *args):
+        made.append(args)
+        return make(cls, *args)
+
+    monkeypatch.setattr(faadibruno.Partition, "_make", classmethod(counted))
+    walks = [
+        (lambda: faadibruno.coefficients.constrained_coefficients(8, 2, 1), 32),
+        (lambda: faadibruno.enumerate_partitions(12), 77),
+        (lambda: faadibruno.enumerate_constrained(9, 1, 2, length=4), 11),
+    ]
+    for walk, count in walks:
+        made.clear()
+        assert len(list(walk())) == len(made) == count, count
 
 
 def _defines(statement, name):
@@ -208,7 +230,7 @@ def test_every_public_name_is_used_inside_the_package():
     }
     trees = [ast.parse(p.read_text()) for p in package.glob("*.py") if p.name != "__init__.py"]
     names = {defined_as[name] for name in PUBLIC_NAMES}.union(*map(public_definitions, trees))
-    assert {"PARTITION_FOLD", "modifications", "partition_count_dp"} <= names
+    assert {"modifications", "partition_count_dp"} <= names
     unused = [name for name in sorted(names) if not any(references(t, name) for t in trees)]
     assert unused == []
 

@@ -307,6 +307,28 @@ def test_benchmark_verify_matches_its_golden_digest(seed, capsysbinary):
     assert hashlib.sha256(stdout).hexdigest() == golden["digests"][argv]
 
 
+def test_benchmark_tracer_completes_on_a_coeff_and_a_verify_command(tmp_path):
+    # bench/tracer.py wraps names of the package by name; a renamed or removed
+    # one breaks a traced benchmark run, so run it here on two short commands
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / "raw.json"
+    commands = ["coeff --n 4 --s 1 --verify --format csv", "verify --max-n 2 --max-s 1 --trials 2"]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, str(BENCH / "tracer.py"), "--out", str(out), "--cmd", "0", "--"]
+            + argv.split(),
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        raw = json.loads(out.read_text(encoding="utf-8"))
+        if argv.startswith("coeff"):
+            # one partition handed to the coefficient layer per row
+            assert raw["counts"]["partitions.yielded"] == len(proc.stdout.splitlines()) == 19
+
+
 COEFF_ROWS = st.lists(
     st.tuples(
         st.integers(),

@@ -238,7 +238,7 @@ def test_listing_walk_places_one_part_per_partition_but_one():
     counts = partition_count_dp(50)
     for n in [*range(31), 50]:
         pushed, fold = _counting_fold()
-        values = list(enumerate_constrained(n, 0, 0, fold=fold))
+        values = [value for _lam, value in enumerate_constrained(n, 0, 0, fold=fold)]
         assert len(values) == counts[n]
         assert pushed[0] == counts[n] - 1, n
         if n <= 20:
@@ -247,15 +247,18 @@ def test_listing_walk_places_one_part_per_partition_but_one():
 
 def test_constrained_walk_places_no_part_off_the_way_to_a_partition():
     # every part placed lies on the way to some partition produced, so the
-    # parts placed never exceed the parts above 1 of the partitions produced
+    # parts placed never exceed the parts above 1 of the partitions produced;
+    # a folding walk pairs each value with the partition the plain walk yields
     for n in range(11):
         for s in range(3):
             for r in range(n + 1):
                 weight = n + r * s
                 for length in [None, *range(weight + 1)]:
                     pushed, fold = _counting_fold()
-                    values = list(enumerate_constrained(n, r, s, length=length, fold=fold))
-                    built = enumerate_constrained(n, r, s, length=length)
+                    pairs = list(enumerate_constrained(n, r, s, length=length, fold=fold))
+                    values = [value for _lam, value in pairs]
+                    built = list(enumerate_constrained(n, r, s, length=length))
+                    assert [lam for lam, _value in pairs] == built, (n, r, s, length)
                     assert values == _pushes_expected(built), (n, r, s, length)
                     assert pushed[0] <= sum(map(len, values)), (n, r, s, length)
 

@@ -46,6 +46,16 @@ def test_ring_operations():
     assert (-P(1, -2)) == P(-1, 2)
 
 
+def test_sums_with_a_foreign_operand_raise_type_error():
+    # like * and every SparsePolynomial operator, + and - decline a foreign operand
+    p = RationalPolynomial([1, 2])
+    for other in (1, Fraction(1)):
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            p - other
+
+
 def test_compose():
     assert P(0, 0, 1).compose(P(1, 1)) == P(1, 2, 1)
     assert P(3).compose(P(0, 7)) == P(3)
