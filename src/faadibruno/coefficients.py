@@ -11,7 +11,7 @@ closed formula is the production path; the recurrence is the cross-check.
 
 from __future__ import annotations
 
-from math import comb, factorial, perm
+from math import factorial, perm
 from typing import Iterator
 
 from .partitions import (
@@ -78,43 +78,52 @@ def constrained_coefficients(
 
     Same partitions in the same order, each coefficient folded along the
     partition walk instead of rebuilt per entry; the walk pairs it with the
-    partition it builds.  A state is the pair (e, den): e is the elementary
-    vector, to degree r, of the falling factorials (i)_s of the placed parts
-    i > s, and den is the running prod_i (i!)^m_i m_i!.  Placing a part i
-    whose multiplicity becomes m multiplies den by i! * m and, when i > s,
-    multiplies e by 1 + (i)_s X; both cost O(r) once per shared prefix.  The
-    trailing run of t ones closes the fold at the leaf: den gains t!, and for
-    s = 0, where each 1 is a part above s with (1)_0 = 1, e_r becomes
-    sum_j binom(t, j) e_{r-j}.  Integrality is asserted as in :func:`c_coeff`,
-    which stays the independent per-entry form.
+    partition it builds.  A state is the pair (e, den): den is the running
+    prod_i (i!)^m_i m_i!, and e is the elementary vector e_0..e_r of the
+    falling factorials (i)_s of the placed parts i > s, packed into one int
+    with e_j in bits [j*w, (j+1)*w), so that e is the polynomial sum_j e_j X^j
+    at X = 2^w.  Placing a part i whose multiplicity becomes m multiplies den
+    by i! * m and, when i > s, multiplies e by 1 + (i)_s X and drops the
+    slots above r: a constant number of big-int operations on r + 1 slots,
+    once per shared prefix.  The trailing run of t ones closes the fold at
+    the leaf: den gains t!, and e is multiplied by (1 + X)^t when a 1 lies
+    above s (s = 0, where (1)_0 = 1) and by 1 otherwise; e_r is then read off
+    its slot.  Integrality is asserted as in :func:`c_coeff`, which stays the
+    independent per-entry form.
+
+    The slot width w = N // (s+1) + r*s*L + 1, with N = n + r*s and L the
+    bit length of N, keeps every slot 0..r below 2^w, so none carries into
+    the next: at most k <= N // (s+1) parts exceed s, and each (i)_s <= N^s
+    <= 2^(s*L), so e_j <= binom(k, j) * 2^(j*s*L) <= 2^(k + r*s*L) < 2^w for
+    j <= r.  A slot above r may overflow, but carries only move up, into
+    slots that are dropped or never read.  The width, the masks and n! are
+    built after the arguments and the cap are checked, and not at all when
+    r > n, where the walk is empty.
     """
 
     def push(state, i, m):
-        # e holds degrees 0..min(parts above s so far, r); higher ones are 0
         e, den = state
         if i > s:
-            x = perm(i, s)
-            grown = [a + x * b for a, b in zip(e[1:], e)]
-            if len(e) <= r:
-                grown.append(x * e[-1])
-            e = (1, *grown)
+            e = (e + (perm(i, s) * e << w)) & keep
         return e, den * factorial(i) * m
 
     def close(state, ones):
         e, den = state
-        e_r = e[r] if r < len(e) else 0
-        if ones:
-            den *= factorial(ones)
-            if s == 0:
-                low = max(r - len(e) + 1, 0)
-                e_r = sum(comb(ones, j) * e[r - j] for j in range(low, min(ones, r) + 1))
-        q, rem = divmod(factorial(n) * e_r, den)
+        e_r = (e * one**ones >> r * w) & mask
+        q, rem = divmod(n_factorial * e_r, den * factorial(ones))
         if rem:
             raise IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
         return q
 
-    start = ((1,), 1)
-    return enumerate_constrained(n, r, s, cap=cap, length=length, fold=(start, push, close))
+    walk = enumerate_constrained(n, r, s, cap=cap, length=length, fold=((1, 1), push, close))
+    if r > n:
+        return walk  # empty: r parts above s would outweigh n + r*s
+    weight = n + r * s
+    w = weight // (s + 1) + r * s * weight.bit_length() + 1
+    mask, keep = (1 << w) - 1, (1 << (r + 1) * w) - 1
+    one = 1 + ((1 > s) << w)  # the factor of a part 1, which lies above s only at s = 0
+    n_factorial = factorial(n)
+    return walk
 
 
 class RecurrenceEvaluator:

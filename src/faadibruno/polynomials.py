@@ -136,6 +136,8 @@ class RationalPolynomial:
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         """self(inner(t))."""
+        if not isinstance(inner, RationalPolynomial):
+            raise TypeError(f"cannot compose with {type(inner).__name__}")
         return self._over([RationalPolynomial([1]), inner])
 
     def _over(self, powers: list) -> "RationalPolynomial":

@@ -535,6 +535,14 @@ OUTPUT_SHA256 = {
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     "bell --n 0 --k 0 --format latex":
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    # tables whose folded elementary vectors fill wide slots (about 400 bits at
+    # (8, 7)), recorded at 0a514bb, while the fold kept that vector as a tuple
+    "coeff --n 30 --s 0 --format csv":
+        "b42bbc3ae3a860a51af5e1216a852aa6be5edd5500008148e16619f828e4e177",
+    "coeff --n 8 --s 7 --format csv":
+        "16c8901e70c83afd6905ab84e6f088d0d7d859c63aef5951187d0cf6acf11211",
+    "bell --n 30 --k 10 --r 2 --s 0 --format json":
+        "cf4d2e9502872ed2eeec083730d5115e277a439094a927677c5d56e0339e1db9",
 }
 
 

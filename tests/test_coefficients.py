@@ -284,6 +284,35 @@ def test_folded_rows_of_one_length_follow_the_enumeration(n, s, data):
     assert [c for _lam, c in rows] == [c_coeff(lam, r, s) for lam in expected]
 
 
+def test_packed_fold_at_s0_is_the_binomial_on_all_ones():
+    # length = n leaves only 1^n, whose e_r = binom(n, r) nearly fills a slot of
+    # n + 1 bits; c_coeff costs O(n * r) an entry, so it checks a subset of the rows
+    for n in range(201):
+        for r in range(n + 1):
+            [(lam, c)] = constrained_coefficients(n, r, 0, cap=200, length=n)
+            assert (lam.parts, c) == ((1,) * n, comb(n, r)), (n, r)
+            if n <= 40 or n == 200:
+                assert c == c_coeff(lam, r, 0), (n, r)
+
+
+def test_packed_fold_with_every_part_above_s():
+    # length = r puts every part above s, so e_r is the product of all the (i)_s
+    for s in range(1, 41):
+        for n in range(11):
+            for r in range(1, n + 1):
+                rows = list(constrained_coefficients(n, r, s, cap=10 + 10 * 40, length=r))
+                assert rows, (n, r, s)
+                for lam, c in rows:
+                    assert lam.length_above(s) == r
+                    assert c == c_coeff(lam, r, s), (lam, r, s)
+
+
+def test_packed_fold_builds_nothing_sized_by_r_past_n():
+    # r > n gives an empty walk, and no mask of (r + 1) slots is built for it
+    assert list(constrained_coefficients(10, 10**12, 0)) == []
+    assert list(constrained_coefficients(10, 10**12, 3, cap=10**14)) == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(ORDERS, SHIFTS, st.booleans(), st.randoms(use_true_random=False))
 def test_recurrence_in_any_query_order_equals_the_closed_form(n, s, descending, rng):

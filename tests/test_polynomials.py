@@ -56,6 +56,14 @@ def test_sums_with_a_foreign_operand_raise_type_error():
             p - other
 
 
+def test_composing_with_a_foreign_operand_raises_type_error():
+    # as + and - do; a constant outer polynomial never reads its inner one, and still refuses
+    for outer in (RationalPolynomial([1, 2]), RationalPolynomial([3])):
+        for inner in (3, Fraction(1)):
+            with pytest.raises(TypeError):
+                outer.compose(inner)
+
+
 def test_compose():
     assert P(0, 0, 1).compose(P(1, 1)) == P(1, 2, 1)
     assert P(3).compose(P(0, 7)) == P(3)
