@@ -64,9 +64,6 @@ class RationalPolynomial:
     def degree(self) -> int:
         return len(self._num) - 1
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def to_strings(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
@@ -117,22 +114,6 @@ class RationalPolynomial:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
         return self._make(out, self._den * other._den)
-
-    def scale(self, factor: Union[Fraction, int]) -> "RationalPolynomial":
-        factor = Fraction(factor)
-        return self._combine(((factor.numerator, self),), factor.denominator)
-
-    def __pow__(self, exponent: int) -> "RationalPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        if not exponent:
-            return RationalPolynomial([1])
-        result = self  # the top bit; the bits below it, left to right
-        for bit in bin(exponent)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
 
     def compose(self, inner: "RationalPolynomial") -> "RationalPolynomial":
         """self(inner(t))."""

@@ -16,6 +16,10 @@ MemoryError or RecursionError that ends a suite is one more failing instance,
 witnessed as ``{"error": "Type: message"}``.  ``SUITES`` holds the
 ``(key, statement, runner, informational)`` tuples in declaration order,
 which is the order of the report.
+
+A suite may keep an operand it would rebuild for many of its instances (one
+elementary vector per multiset, one expansion per n), but only in locals of
+one call: nothing is shared between suites or between runs.
 """
 
 from __future__ import annotations
@@ -44,10 +48,7 @@ from .sparse import _accumulate
 
 
 def _all_partitions_upto(n_max: int) -> list[Partition]:
-    out: list[Partition] = []
-    for n in range(n_max + 1):
-        out.extend(enumerate_partitions(n))
-    return out
+    return [lam for n in range(n_max + 1) for lam in enumerate_partitions(n)]
 
 
 def _multisets(card_max: int, entry_max: int):
@@ -228,6 +229,7 @@ def _check_newton_residual(max_n, max_s, rng, trials, cap):
     "series correction computed from the original vector",
 )
 def _check_subtract_transform(max_n, max_s, rng, trials, cap):
+    rests = {}  # rest -> (e(rest), its (e_r, e_{r-1}) pairs); r_max is len(rest) + 1
     for b in _multisets(min(max_n, 6), 8):
         r_max = len(b)
         if not r_max:
@@ -235,11 +237,15 @@ def _check_subtract_transform(max_n, max_s, rng, trials, cap):
         e = symfunc.elementary_moments(b, r_max)
         for value in sorted(set(b)):
             i = b.index(value)
-            e_rest = symfunc.elementary_moments(b[:i] + b[i + 1 :], r_max)
+            rest = b[:i] + b[i + 1 :]
+            if rest not in rests:
+                e_rest = symfunc.elementary_moments(rest, r_max)
+                rests[rest] = e_rest, tuple(zip(e_rest, (0,) + e_rest))
+            e_rest, pairs = rests[rest]
             # e(rest + (x,)) is e(rest) times the one factor (1 + x X)
             ok = symfunc.subtract_transform(e, value, value) == e_rest and all(
                 symfunc.subtract_transform(e, value, c)
-                == tuple(hi + (value - c) * lo for hi, lo in zip(e_rest, (0,) + e_rest))
+                == tuple([hi + (value - c) * lo for hi, lo in pairs])
                 for c in (0, 1, value // 2)
             )
             yield None if ok else {"multiset": list(b), "value": value}
@@ -378,9 +384,12 @@ def _check_product_rule(max_n, max_s, rng, trials, cap):
     "the composed expansion",
 )
 def _check_psi_bridge(max_n, max_s, rng, trials, cap):
+    products = {}  # n -> the independent-product expansion, built at its first s
     for s in range(max_s + 1):
         for n, chain in enumerate(diffalg.derivative_chain(max_n, "composed", s)):
-            bridged = diffalg.substitute_psi(diffalg.leibniz_product_expansion(n, cap=cap), s)
+            if n not in products:
+                products[n] = diffalg.leibniz_product_expansion(n, cap=cap)
+            bridged = diffalg.substitute_psi(products[n], s)
             yield None if bridged == chain else {"n": n, "s": s}
 
 
@@ -497,16 +506,14 @@ def _check_bell_recurrence(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n, k, r in _triangle(max_n, 1):
             lhs = bell.modified_partial_bell(n + 1, k + 1, r, s, cap=cap)
-            rhs = bell.YPolynomial.zero()
-            for l in range(n - k + 1):
-                rhs = rhs + comb(n, l) * (
-                    bell.YPolynomial.variable(l + 1)
-                    * bell.modified_partial_bell(n - l, k, r, s, cap=cap)
-                )
-                rhs = rhs + comb(n, l) * (
-                    bell.YPolynomial.variable(l + s + 1)
-                    * bell.modified_partial_bell(n - l, k, r - 1, s, cap=cap)
-                )
+            # the sum over l of binom(n, l) * (y_{l+1} B(n-l, k, r) + y_{l+s+1} B(n-l, k, r-1))
+            rhs = bell.YPolynomial(
+                (exps, comb(n, l) * c)
+                for l in range(n - k + 1)
+                for index, r_in in ((l + 1, r), (l + s + 1, r - 1))
+                for exps, c in bell.YPolynomial.variable(index)
+                * bell.modified_partial_bell(n - l, k, r_in, s, cap=cap)
+            )
             yield None if lhs == rhs else {"n": n, "k": k, "r": r, "s": s}
 
 

@@ -224,13 +224,14 @@ def diff_monomials_mul(a, b):
 
 def expansion_value_by_terms(expansion, s, f, g, phi):
     """sum c * (f^(a) o phi) * (g^(b) o phi^(s)) * prod (phi^(i))^e over the
-    expansion's terms, one term at a time, with the polynomials' own compose,
-    products and powers: no operand is kept or grouped."""
+    expansion's terms, one term at a time, with the polynomials' own compose
+    and products: no operand is kept or grouped."""
     total = type(phi)()
     for mono, c in expansion:
         term = f.derivative(mono.f_order).compose(phi)
         term = term * g.derivative(mono.g_order).compose(phi.derivative(s))
         for i, e in mono.y:
-            term = term * phi.derivative(i) ** e
-        total = total + term.scale(c)
+            for _ in range(e):
+                term = term * phi.derivative(i)
+        total = total + term * type(phi)([c])
     return total

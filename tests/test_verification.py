@@ -156,6 +156,52 @@ def test_subtract_transform_suite_reports_a_wrong_vector(monkeypatch):
     assert result["counterexample"] == {"multiset": [5], "value": 5}
 
 
+def test_a_wrong_rest_vector_fails_every_multiset_that_leaves_it(monkeypatch):
+    # the suite keeps one vector per rest: a wrong e_2 of (3,) fails each of the
+    # 8 multisets (3, x) once, at the x whose removal leaves (3,)
+    real = symfunc.elementary_moments
+
+    def wrong(b, r_max):
+        e = real(b, r_max)
+        if (tuple(b), r_max) == ((3,), 2):
+            return e[:2] + (e[2] + 1,)
+        return e
+
+    monkeypatch.setattr(symfunc, "elementary_moments", wrong)
+    only_suite(monkeypatch, "elementary_subtract_transform")
+    (result,) = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)["identities"]
+    assert (result["instances"], result["failures"], result["counterexample"]) == (
+        10296,
+        8,
+        {"multiset": [3, 1], "value": 1},
+    )
+
+
+@pytest.mark.parametrize(
+    "key, module, name, calls",
+    [
+        # 3,002 non-empty multisets and 1,287 distinct rests
+        ("elementary_subtract_transform", symfunc, "elementary_moments", 4289),
+        # one expansion per n = 0..7, for all four s
+        ("psi_substitution_bridge", diffalg, "leibniz_product_expansion", 8),
+    ],
+)
+def test_a_suite_builds_each_oracle_operand_once(monkeypatch, key, module, name, calls):
+    # a clockless work pin at (7, 3, 50), seed 0: every call has its own arguments
+    real = getattr(module, name)
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append((args, tuple(sorted(kwargs.items()))))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    only_suite(monkeypatch, key)
+    report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
+    assert report["passed"] is True
+    assert len(made) == len(set(made)) == calls
+
+
 def stirling_suites(monkeypatch):
     # the seven Stirling suites at the benchmark grid, keyed by suite
     monkeypatch.setattr(
