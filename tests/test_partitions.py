@@ -424,3 +424,9 @@ def test_parts_roundtrip():
     for n in range(9):
         for lam in enumerate_partitions(n):
             assert Partition(lam.parts) == lam
+
+
+@pytest.mark.parametrize("method", ["length_above", "shift_up"])
+def test_a_negative_shift_is_refused(method):
+    with pytest.raises(ValueError, match="^s must be non-negative$"):
+        getattr(Partition([2, 1]), method)(-1)
