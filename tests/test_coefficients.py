@@ -355,3 +355,10 @@ def test_recurrence_memo_holds_one_entry_per_partition(monkeypatch, n, s, entrie
     # the recurrence's work, pinned exactly: a change that fills more entries fails here
     evaluator = _table_evaluator(monkeypatch, n, s)
     assert len(evaluator._memo) == entries
+
+
+def test_the_recurrence_refuses_a_negative_shift_or_r():
+    with pytest.raises(ValueError, match="^s must be non-negative$"):
+        RecurrenceEvaluator(-1)
+    with pytest.raises(ValueError, match="^r must be non-negative$"):
+        RecurrenceEvaluator(0).value(Partition([2, 1]), -1)
