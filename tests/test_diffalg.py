@@ -314,3 +314,19 @@ def test_diff_polynomial_never_equals_y_polynomial(a, b):
     assert d != y and y != d
     assert not (d == y) and not (y == d)
     assert DiffPolynomial.zero() != YPolynomial.zero()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: monomial(-1), "derivative orders must be non-negative"),
+        (lambda: monomial(y={0: 1}), "exponent maps need indices >= 1 and exponents >= 0"),
+        (lambda: derive(faa_expansion(1), "composed", -1), "s must be non-negative"),
+        (lambda: faa_expansion(-1), "n must be non-negative"),
+        (lambda: leibniz_product_expansion(-1), "n must be non-negative"),
+        (lambda: substitute_psi(faa_expansion(1), -1), "s must be non-negative"),
+    ],
+)
+def test_an_out_of_range_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
