@@ -489,3 +489,10 @@ def test_product_forms_refuse_what_the_definitions_refuse():
                         except CapExceeded:
                             outcomes.append(CapExceeded)
                     assert outcomes[0] == outcomes[1], (definition.__name__, args, cap)
+
+
+def test_a_negative_shift_or_table_bound_is_refused():
+    with pytest.raises(ValueError, match="^s must be non-negative$"):
+        YPolynomial({((1, 1),): 1}).shift_vars(-1)
+    with pytest.raises(ValueError, match="^n_max must be non-negative$"):
+        stirling_table(-1)
