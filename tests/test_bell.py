@@ -496,3 +496,8 @@ def test_a_negative_shift_or_table_bound_is_refused():
         YPolynomial({((1, 1),): 1}).shift_vars(-1)
     with pytest.raises(ValueError, match="^n_max must be non-negative$"):
         stirling_table(-1)
+
+
+def test_a_negative_order_gives_zero():
+    assert modified_complete_bell(-1, 0) == YPolynomial.zero()
+    assert stirling_convolution(-1, 0, 0) == 0
