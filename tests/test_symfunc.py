@@ -159,3 +159,8 @@ def test_subtract_vector_matches_subsets_of_the_replaced_multiset(b, data):
     assert subtract_transform(elementary_moments(b, n), value, c) == tuple(
         elementary_by_subsets(replaced, r) for r in range(n + 1)
     )
+
+
+def test_subpartition_sum_refuses_a_negative_shift():
+    with pytest.raises(ValueError, match="^r and s must be non-negative$"):
+        elementary_by_subpartitions(Partition([2]), 0, -1)
