@@ -611,3 +611,8 @@ def test_every_suite_that_can_fail_has_a_fault_that_fails_it():
     checked = {key for key, _statement, _runner, info in verification.SUITES if not info}
     assert len(checked) == 28
     assert checked == set(SINGLE_FAULTS) | set(NAMED_FAULT_TESTS)
+
+
+def test_a_negative_bound_is_refused():
+    with pytest.raises(ValueError, match="^bounds must be non-negative$"):
+        verification.run_all(-1, 0)
