@@ -947,3 +947,21 @@ def test_check_refuses_an_over_cap_order_before_any_work(order):
     assert (code, stdout) == (2, b"")
     assert stderr.startswith("error: formula expansion (n=") and stderr.endswith(" > cap 64\n")
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["coeff", "--n", "x"], "faadibruno coeff: error: argument --n: not an integer: 'x'"),
+        (["coeff", "--n", "3", "--cap", "0"],
+         "faadibruno coeff: error: argument --cap: value must be positive"),
+        (["check", "--f", "1/0", "--g", "1", "--phi", "0,1", "--n", "1"],
+         "faadibruno check: error: argument --f: bad polynomial literal '1/0': "),
+    ],
+)
+def test_a_bad_flag_value_is_one_argparse_error(argv, error):
+    code, stdout, stderr = run_main(argv)
+    assert (code, stdout) == (2, b"")
+    usage, _, last = stderr.rstrip("\n").rpartition("\n")
+    assert usage.startswith("usage: faadibruno ") and ": error: " not in usage
+    assert last.startswith(error)
