@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faadibruno import verification
-from faadibruno.diffalg import formula_expansion, leibniz_product_expansion
+from faadibruno.diffalg import (
+    DiffPolynomial,
+    formula_expansion,
+    leibniz_product_expansion,
+    monomial,
+)
 from faadibruno.polynomials import (
     FormulaInstantiator,
     RationalPolynomial,
@@ -359,3 +364,21 @@ def test_product_with_zero_is_the_canonical_zero():
         RationalPolynomial([Fraction(1, 3)]) * zero,
     ):
         assert (product._num, product._den) == ((), 1)
+
+
+def test_sums_grouped_by_orders_read_the_empty_y_part_as_one():
+    # one (a, b) class against three y classes, so each class sums over its y
+    # parts, and the term F_0 G_0 asks for Y(()) = 1
+    f, g = RationalPolynomial([1, 2, 3]), RationalPolynomial([2, 1])
+    phi = RationalPolynomial([0, 1, 1])
+    expansion = DiffPolynomial(
+        {monomial(0, 0): 1, monomial(0, 0, {1: 1}): 2, monomial(0, 0, {2: 1}): 3}
+    )
+    inst = FormulaInstantiator(f, g, phi)
+    asked, y_at = [], inst._y
+    inst._y = lambda y: asked.append(y) or y_at(y)
+    value = inst.expansion_value(expansion, 0)
+    assert () in asked
+    assert value == RationalPolynomial([18, 53, 137, 223, 229, 149, 63, 12])
+    # F_0 G_0 (1 + 2 phi' + 3 phi''), with phi' = 1 + 2t and phi'' = 2
+    assert value == f.compose(phi) * g.compose(phi) * RationalPolynomial([9, 4])
