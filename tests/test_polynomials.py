@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faadibruno import verification
+from faadibruno import polynomials, verification
+from faadibruno.cli import main
 from faadibruno.diffalg import (
     DiffPolynomial,
     formula_expansion,
@@ -382,3 +384,25 @@ def test_sums_grouped_by_orders_read_the_empty_y_part_as_one():
     assert value == RationalPolynomial([18, 53, 137, 223, 229, 149, 63, 12])
     # F_0 G_0 (1 + 2 phi' + 3 phi''), with phi' = 1 + 2t and phi'' = 2
     assert value == f.compose(phi) * g.compose(phi) * RationalPolynomial([9, 4])
+
+
+def test_an_unequal_check_reports_the_difference(monkeypatch, capsysbinary):
+    # the expansion one too high on its first term, in terms() order
+    real = polynomials.formula_expansion
+
+    def first_term_one_too_high(n, s, cap):
+        poly = real(n, s, cap=cap)
+        (mono, _coeff), *_rest = poly.terms()
+        return poly + DiffPolynomial({mono: 1})
+
+    monkeypatch.setattr(polynomials, "formula_expansion", first_term_one_too_high)
+    triple = [RationalPolynomial(c) for c in ([0, 0, 1], [0, 1], [0, 0, 1])]
+    report = check_main_theorem(*triple, 2, 1)
+    lhs, rhs = RationalPolynomial(report["lhs"]), RationalPolynomial(report["rhs"])
+    assert report["equal"] is False and lhs != rhs
+    assert report["difference"] == (lhs - rhs).to_strings()
+    argv = ["check", "--f", "0,0,1", "--g", "0,1", "--phi", "0,0,1", "--n", "2", "--s", "1"]
+    assert main(argv) == 1
+    captured = capsysbinary.readouterr()
+    assert captured.out == (json.dumps(report, indent=2, ensure_ascii=False) + "\n").encode()
+    assert captured.err == b""
