@@ -406,3 +406,10 @@ def test_an_unequal_check_reports_the_difference(monkeypatch, capsysbinary):
     captured = capsysbinary.readouterr()
     assert captured.out == (json.dumps(report, indent=2, ensure_ascii=False) + "\n").encode()
     assert captured.err == b""
+
+
+@pytest.mark.parametrize("n, s", [(-1, 0), (0, -1)])
+def test_check_refuses_a_negative_order_or_shift(n, s):
+    one = RationalPolynomial([1])
+    with pytest.raises(ValueError, match="^n and s must be non-negative$"):
+        check_main_theorem(one, one, one, n, s)
