@@ -46,7 +46,7 @@ def _polynomial(text: str):
 
 
 # argparse takes a value that starts with "-" for an option unless it is a
-# plain number; after these flags, "-" and a digit open a polynomial literal
+# plain number; after these flags, "-" and a digit or "." open a polynomial literal
 _LITERAL_FLAGS = ("--f", "--g", "--phi")
 
 
@@ -54,7 +54,8 @@ def _join_literals(argv: list[str]) -> list[str]:
     """argv with each negative literal joined to its flag, as in --f=-1,2."""
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in _LITERAL_FLAGS and arg[:1] == "-" and arg[1:2].isdigit():
+        opens = arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == ".")
+        if joined and joined[-1] in _LITERAL_FLAGS and opens:
             joined[-1] += f"={arg}"
         else:
             joined.append(arg)

@@ -117,7 +117,14 @@ def test_check_subcommand():
 
 
 @pytest.mark.parametrize(
-    "f, g, phi", [("-1,2", "1", "-1/2"), ("-3/4", "-2,0,1", "1,1"), ("-1", "0,1", "-0,1")]
+    "f, g, phi",
+    [
+        ("-1,2", "1", "-1/2"),
+        ("-3/4", "-2,0,1", "1,1"),
+        ("-1", "0,1", "-0,1"),
+        # a decimal with no digit before its point
+        ("-.5,1", "1", "0,1"),
+    ],
 )
 def test_negative_literals_need_no_equals_sign(f, g, phi):
     order = ["--n", "3", "--s", "1"]
