@@ -246,7 +246,7 @@ def _check_subtract_transform(max_n, max_s, rng, trials, cap):
             ok = symfunc.subtract_transform(e, value, value) == e_rest and all(
                 symfunc.subtract_transform(e, value, c)
                 == tuple([hi + (value - c) * lo for hi, lo in pairs])
-                for c in (0, 1, value // 2)
+                for c in {0, 1, value // 2}
             )
             yield None if ok else {"multiset": list(b), "value": value}
 

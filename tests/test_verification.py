@@ -202,6 +202,24 @@ def test_a_suite_builds_each_oracle_operand_once(monkeypatch, key, module, name,
     assert len(made) == len(set(made)) == calls
 
 
+def test_the_subtract_transform_suite_checks_each_distinct_c_once(monkeypatch):
+    # a clockless work pin at (7, 3, 50), seed 0: per (multiset, value), c = value
+    # and then each distinct c of {0, 1, value // 2}
+    real = symfunc.subtract_transform
+    made = []
+
+    def counted(e, l_value, c):
+        made.append((e, l_value, c))
+        return real(e, l_value, c)
+
+    monkeypatch.setattr(symfunc, "subtract_transform", counted)
+    only_suite(monkeypatch, "elementary_subtract_transform")
+    report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
+    (result,) = report["identities"]
+    assert (result["instances"], result["failures"]) == (10296, 0)
+    assert len(made) == 37323
+
+
 def stirling_suites(monkeypatch):
     # the seven Stirling suites at the benchmark grid, keyed by suite
     monkeypatch.setattr(
