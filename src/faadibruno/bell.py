@@ -115,10 +115,7 @@ def partial_bell(n: int, k: int) -> YPolynomial:
 
 
 def complete_bell(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
-    total = YPolynomial.zero()
-    for k in range(n + 1):
-        total = total + partial_bell(n, k, cap=cap)
-    return total
+    return YPolynomial(term for k in range(n + 1) for term in partial_bell(n, k, cap=cap))
 
 
 def _modified_weight(n: int, k: int, r: int, s: int) -> int | None:
@@ -163,12 +160,12 @@ def product_form_partial(
     if reached is None:
         return YPolynomial.zero()
     CapExceeded.check(reached, cap, "product_form_partial")
-    total = YPolynomial.zero()
-    for p in range(r, n - k + r + 1):
-        left = partial_bell(n - p, k - r, cap=cap)
-        right = partial_bell(p, r, cap=cap).shift_vars(s)
-        total = total + comb(n, p) * (left * right)
-    return total
+    return YPolynomial(
+        (exps, comb(n, p) * c)
+        for p in range(r, n - k + r + 1)
+        for exps, c in partial_bell(n - p, k - r, cap=cap)
+        * partial_bell(p, r, cap=cap).shift_vars(s)
+    )
 
 
 def product_form_complete(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
@@ -177,12 +174,11 @@ def product_form_complete(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPol
     """
     if n >= 0:
         CapExceeded.check(n + n * s, cap, "product_form_complete")
-    total = YPolynomial.zero()
-    for p in range(n + 1):
-        total = total + comb(n, p) * (
-            complete_bell(n - p, cap=cap) * complete_bell(p, cap=cap).shift_vars(s)
-        )
-    return total
+    return YPolynomial(
+        (exps, comb(n, p) * c)
+        for p in range(n + 1)
+        for exps, c in complete_bell(n - p, cap=cap) * complete_bell(p, cap=cap).shift_vars(s)
+    )
 
 
 # -- Stirling numbers -------------------------------------------------------
