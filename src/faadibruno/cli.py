@@ -67,6 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default="pretty")
     common.add_argument("--cap", type=_positive, default=DEFAULT_WEIGHT_CAP)
     common.add_argument("--out", metavar="FILE", default=None)
+    # refused=(formats a command has no form for, the stderr line refusing them before any work)
+    common.set_defaults(refused=((), ""))
 
     parser = argparse.ArgumentParser(
         prog="faadibruno",
@@ -77,25 +79,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partitions", parents=[common], help="list the partitions of n")
     p.add_argument("--n", type=_nonneg, required=True)
+    p.set_defaults(run=_cmd_partitions)
 
     p = sub.add_parser("coeff", parents=[common], help="coefficient table for (n, s)")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--s", type=_nonneg, default=0)
     p.add_argument("--verify", action="store_true", help="cross-check against the recurrence")
+    p.set_defaults(run=_cmd_coeff)
 
     p = sub.add_parser("expand", parents=[common], help="closed-formula expansion for (n, s)")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--s", type=_nonneg, default=0)
     p.add_argument("--verify", action="store_true", help="compare against the symbolic oracle")
+    p.set_defaults(run=_cmd_expand, refused=(("csv",), "csv output is not defined for expansions"))
 
     p = sub.add_parser("bell", parents=[common], help="modified partial Bell polynomial")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--k", type=_nonneg, required=True)
     p.add_argument("--r", type=_nonneg, default=0)
     p.add_argument("--s", type=_nonneg, default=0)
+    p.set_defaults(
+        run=_cmd_bell, refused=(("csv",), "csv output is not defined for Bell polynomials")
+    )
 
     p = sub.add_parser("stirling", parents=[common], help="modified Stirling number table")
     p.add_argument("--n-max", type=_nonneg, required=True)
+    p.set_defaults(run=_cmd_stirling)
 
     p = sub.add_parser("check", parents=[common], help="concrete polynomial check of the expansion")
     p.add_argument("--f", type=_polynomial, required=True, metavar="COEFFS")
@@ -103,12 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=_polynomial, required=True, metavar="COEFFS")
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--s", type=_nonneg, default=0)
+    p.set_defaults(run=_cmd_check, refused=(("csv", "latex"), "check reports are JSON only"))
 
     p = sub.add_parser("verify", parents=[common], help="run every identity suite")
     p.add_argument("--max-n", type=_nonneg, default=5)
     p.add_argument("--max-s", type=_nonneg, default=2)
     p.add_argument("--trials", type=_nonneg, default=20)
     p.add_argument("--seed", type=_nonneg, default=0)
+    p.set_defaults(run=_cmd_verify, refused=(("csv", "latex"), "verify reports are JSON only"))
 
     return parser
 
@@ -365,35 +376,15 @@ def _cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-# command -> (the formats it has no form for, the stderr line that refuses them
-# on the flags, before any work)
-_REFUSED = {
-    "expand": (("csv",), "csv output is not defined for expansions"),
-    "bell": (("csv",), "csv output is not defined for Bell polynomials"),
-    "check": (("csv", "latex"), "check reports are JSON only"),
-    "verify": (("csv", "latex"), "verify reports are JSON only"),
-}
-
-_HANDLERS = {
-    "partitions": _cmd_partitions,
-    "coeff": _cmd_coeff,
-    "expand": _cmd_expand,
-    "bell": _cmd_bell,
-    "stirling": _cmd_stirling,
-    "check": _cmd_check,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_literals(sys.argv[1:] if argv is None else argv))
-    refused, line = _REFUSED.get(args.command, ((), ""))
+    refused, line = args.refused
     if args.format in refused:
         print(line, file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError, OverflowError, RecursionError) as exc:  # CapExceeded: a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
