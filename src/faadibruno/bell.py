@@ -52,10 +52,10 @@ class YPolynomial(SparsePolynomial):
         return (term_weighted_degree(exps), exps)
 
     @classmethod
-    def variable(cls, index: int, exponent: int = 1) -> "YPolynomial":
-        if index < 1 or exponent < 1:
-            raise ValueError("need index >= 1 and exponent >= 1")
-        return cls({((index, exponent),): 1})
+    def variable(cls, index: int) -> "YPolynomial":
+        if index < 1:
+            raise ValueError("need index >= 1")
+        return cls({((index, 1),): 1})
 
     def shift_vars(self, s: int) -> "YPolynomial":
         """Substitute y_i -> y_{i+s} in every term."""

@@ -100,8 +100,8 @@ class DiffPolynomial(SparsePolynomial):
     _latex_term = staticmethod(_latex_term)
 
     @classmethod
-    def term(cls, mono: DiffMonomial, coeff: int = 1) -> "DiffPolynomial":
-        return cls({mono: coeff})
+    def term(cls, mono: DiffMonomial) -> "DiffPolynomial":
+        return cls({mono: 1})
 
     @staticmethod
     def _order(mono: DiffMonomial):

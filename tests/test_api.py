@@ -235,6 +235,110 @@ def test_every_public_name_is_used_inside_the_package():
     assert unused == []
 
 
+def _subclass_names(trees):
+    # class name -> the names of the class and of every subclass of it in *trees*
+    bases = {
+        node.name: {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def below(name):
+        return {name}.union(*(below(sub) for sub, up in bases.items() if name in up))
+
+    return below
+
+
+def defaulted_parameters(trees):
+    """(label, callee names, parameter, position) for each defaulted parameter of a
+    module-level function or a method.
+
+    The position counts the arguments a call passes, so a method's leaves out
+    self or cls; a keyword-only parameter has none.  A constructor is called by
+    its class's name or a subclass's.  Closures nested in a function are skipped.
+    """
+    below = _subclass_names(trees)
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                label = f"{owner}.{node.name}" if owner else node.name
+                names = below(owner) if node.name == "__init__" else {node.name}
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                bound = owner is not None and not static
+                positional = node.args.posonlyargs + node.args.args
+                first = len(positional) - len(node.args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((label, names, arg.arg, i - bound))
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None:
+                        found.append((label, names, arg.arg, None))
+
+    for tree in trees:
+        visit(tree.body, None)
+    return found
+
+
+def unpassed_parameters(defining, calling):
+    """label(parameter) for each defaulted parameter in *defining* that no call in
+    *calling* passes, by position or by keyword.
+
+    A call is matched by its callee's bare or attribute name; a starred argument
+    passes every position, and a ** argument every keyword.
+    """
+    most, keywords = {}, {}
+    for node in (node for tree in calling for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            most[name] = max(most.get(name, 0), float("inf") if starred else len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    return sorted(
+        f"{label}({param})"
+        for label, names, param, position in defaulted_parameters(defining)
+        if not any(
+            {param, None} & keywords.get(name, set())
+            or (position is not None and most.get(name, 0) > position)
+            for name in names
+        )
+    )
+
+
+def test_unpassed_parameter_rule_on_a_synthetic_source():
+    defining = ast.parse(
+        "def f(a, b=1, *, c=2):\n"
+        "    def closure(d=3):\n"
+        "        return d\n"
+        "    return closure()\n"
+        "def g(k=0):\n"
+        "    return k\n"
+        "class Base:\n"
+        "    def __init__(self, x=0):\n"
+        "        self.x = x\n"
+        "    def method(self, y=1, z=2):\n"
+        "        return y + z\n"
+        "    @staticmethod\n"
+        "    def helper(w=0):\n"
+        "        return w\n"
+        "class Child(Base):\n"
+        "    pass\n"
+    )
+    calling = ast.parse("f(0, 1)\ng(**options)\nChild(5)\nobj.method(y=1)\nBase.helper(*ws)\n")
+    assert unpassed_parameters([defining], [calling]) == ["Base.method(z)", "f(c)"]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # a default that no call in the package or its tests overrides is a constant
+    package = Path(faadibruno.__file__).parent
+    src = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))]
+    tests = [ast.parse(p.read_text()) for p in sorted(Path(__file__).parent.glob("*.py"))]
+    assert unpassed_parameters(src, src + tests) == []
+
+
 # the modules bench/tracer.py wraps by public name; `sparse` is shared machinery, not a layer
 LAYERS = {
     "partitions",
