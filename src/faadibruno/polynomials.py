@@ -205,9 +205,7 @@ def check_main_theorem(
     Returns a JSON-ready report; on disagreement it includes the
     coefficient-wise difference.
     """
-    if n < 0 or s < 0:
-        raise ValueError("n and s must be non-negative")
-    # the expansion checks the cap, so it comes before any concrete work
+    # the expansion checks its arguments and the cap, so it comes before any concrete work
     expansion = formula_expansion(n, s, cap=cap)
     lhs = (f.compose(phi) * g.compose(phi.derivative(s))).derivative(n)
     rhs = FormulaInstantiator(f, g, phi).expansion_value(expansion, s)
