@@ -87,9 +87,6 @@ class SparsePolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -111,16 +108,7 @@ class SparsePolynomial:
             _accumulate(acc, key, -coeff)
         return self._wrap(acc)
 
-    def __rmul__(self, scalar: int):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        if not scalar:
-            return self.zero()
-        return self._wrap({key: scalar * c for key, c in self._terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
         if type(other) is not type(self):
             return NotImplemented
         acc: dict = {}

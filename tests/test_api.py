@@ -12,6 +12,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import faadibruno
 
 PUBLIC_NAMES = {
@@ -112,6 +114,12 @@ def test_tables_are_streams_and_the_removed_methods_stay_removed():
     # json items are rendered by the CLI alone
     for poly in (faadibruno.YPolynomial, faadibruno.DiffPolynomial):
         assert not hasattr(poly, "to_json_list")
+    # an integer is no scalar: a factor c is the constant polynomial of c
+    unit = faadibruno.DiffPolynomial.term(faadibruno.DiffMonomial(None, None, (), ()))
+    for p in (faadibruno.YPolynomial.variable(1), unit):
+        for product in (lambda: 3 * p, lambda: p * 3):
+            with pytest.raises(TypeError):
+                product()
 
 
 def test_a_folding_enumeration_yields_partition_value_pairs():

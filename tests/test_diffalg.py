@@ -268,13 +268,14 @@ def assert_canonical(p):
 @given(carried_terms, variable_terms, variable_terms, st.integers(-3, 3))
 def test_diff_operations_stay_canonical_and_match_reference(a, b, c, factor):
     p, q, r = DiffPolynomial(a), DiffPolynomial(b), DiffPolynomial(c)
+    constant = DiffPolynomial({DiffMonomial(None, None, (), ()): factor})
     ra, rb = terms_add(a, {}), terms_add(b, {})
     cases = [
         (p, ra),
         (p + q, terms_add(ra, rb)),
         (p - q, terms_add(ra, terms_scale(rb, -1))),
-        (factor * p, terms_scale(ra, factor)),
-        (p * factor, terms_scale(ra, factor)),
+        (constant * p, terms_scale(ra, factor)),
+        (p * constant, terms_scale(ra, factor)),
         (p * q, terms_mul(ra, rb, diff_monomials_mul)),
         (q * p, terms_mul(rb, ra, diff_monomials_mul)),
     ]
