@@ -28,11 +28,10 @@ class RationalPolynomial:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, coeffs: Iterable[Union[Fraction, int, str]] = ()):
+    def __new__(cls, coeffs: Iterable[Union[Fraction, int, str]] = ()) -> "RationalPolynomial":
         cs = [Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
-        canon = self._make([c.numerator * (den // c.denominator) for c in cs], den)
-        self._num, self._den = canon._num, canon._den
+        return cls._make([c.numerator * (den // c.denominator) for c in cs], den)
 
     @classmethod
     def _make(cls, num: list[int], den: int) -> "RationalPolynomial":
