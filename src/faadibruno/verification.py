@@ -401,14 +401,12 @@ def _check_weighted_degree_law(max_n, max_s, rng, trials, cap):
     for s in range(max_s + 1):
         for n in range(max_n + 1):
             for mono, _c in diffalg.formula_expansion(n, s, cap=cap):
-                y_weight = sum(i * e for i, e in mono.y)
-                y_degree = sum(e for _, e in mono.y)
                 ok = (
                     mono.f_order is not None
                     and mono.g_order is not None
                     and mono.f_order >= 0
-                    and y_weight == n + mono.g_order * s
-                    and y_degree == mono.f_order + mono.g_order
+                    and bell.term_weighted_degree(mono.y) == n + mono.g_order * s
+                    and bell.term_degree(mono.y) == mono.f_order + mono.g_order
                 )
                 yield None if ok else {"n": n, "s": s, "monomial": repr(mono)}
 
