@@ -268,12 +268,10 @@ def enumerate_constrained(
     value), the value folded along the walk: placing a part p > 1 whose
     multiplicity becomes m maps the state before it (start for the first
     part) to push(state, p, m), and the value is close(state, ones), with
-    ones the number of trailing 1s, which are never pushed.  (A folding walk
-    once yielded the value alone; the pair is yielded on purpose, since the
-    walk builds every partition itself.)  Partitions sharing a prefix share
-    its states, so a push costs once per prefix; every partition with a part
-    above 1 is its own prefix, so a walk over all partitions of n >= 1
-    pushes p(n) - 1 parts.
+    ones the number of trailing 1s, which are never pushed.  Partitions
+    sharing a prefix share its states, so a push costs once per prefix;
+    every partition with a part above 1 is its own prefix, so a walk over
+    all partitions of n >= 1 pushes p(n) - 1 parts.
     """
     if n < 0 or r < 0 or s < 0:
         raise ValueError("n, r, s must be non-negative")
