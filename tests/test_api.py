@@ -243,6 +243,64 @@ def test_every_public_name_is_used_inside_the_package():
     assert unused == []
 
 
+def unread_methods(trees):
+    """Class.name for each public method or property of a top-level class in *trees*
+    that no tree reads as an attribute; dunder methods are called by syntax and skipped."""
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in read
+    )
+
+
+def test_unread_method_rule_on_a_synthetic_source():
+    tree = ast.parse(
+        "class C:\n"
+        "    def used(self):\n"
+        "        return self.helper()\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def dead(self):\n"
+        '        """dead() is never called."""\n'
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 2\n"
+        "    @property\n"
+        "    def gone(self):\n"
+        "        return 3\n"
+        "    def _hidden(self):\n"
+        "        return 4\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "def f(c):\n"
+        "    c.dead = None\n"
+        "    return c.used(), c.size, 'gone', gone\n"
+    )
+    assert unread_methods([tree]) == ["C.dead", "C.gone"]
+
+
+def test_every_public_method_is_read_inside_the_package():
+    # a method or property nothing in the package reads is an uncalled wrapper
+    kept = [
+        # the paper's "moments of partitions": its named object, which tests check
+        "Partition.moment",
+        # the seed's acceptance tests read a polynomial's coefficients through it
+        "SparsePolynomial.coefficient",
+    ]
+    package = Path(faadibruno.__file__).parent
+    trees = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))]
+    assert unread_methods(trees) == kept
+
+
 def _subclass_names(trees):
     # class name -> the names of the class and of every subclass of it in *trees*
     bases = {
