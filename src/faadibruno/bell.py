@@ -88,7 +88,7 @@ def _capped_cache(weight):
         @wraps(body)
         def front(*args: int, cap: int = DEFAULT_WEIGHT_CAP):
             if (reached := weight(*args)) is None:
-                return YPolynomial.zero()
+                return YPolynomial()
             CapExceeded.check(reached, cap, body.__name__)
             return cached(*args)
 
@@ -107,7 +107,7 @@ def partial_bell(n: int, k: int) -> YPolynomial:
     keyword ``cap``: CapExceeded when n > cap.
     """
     if n < 0 or k < 0 or k > n:
-        return YPolynomial.zero()
+        return YPolynomial()
     return YPolynomial(
         (lam.items(), faa_di_bruno_coeff(lam))
         for lam in enumerate_constrained(n, 0, 0, cap=n, length=k)
@@ -145,7 +145,7 @@ def modified_complete_bell(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPo
     if s < 0:
         raise ValueError("s must be non-negative")
     if n < 0:
-        return YPolynomial.zero()
+        return YPolynomial()
     return YPolynomial((lam.items(), c) for _r, lam, c in coefficient_table(n, s, cap=cap))
 
 
@@ -158,7 +158,7 @@ def product_form_partial(
     """
     reached = _modified_weight(n, k, r, s)
     if reached is None:
-        return YPolynomial.zero()
+        return YPolynomial()
     CapExceeded.check(reached, cap, "product_form_partial")
     return YPolynomial(
         (exps, comb(n, p) * c)

@@ -53,6 +53,10 @@ class Partition:
         p._items = tuple(Counter(reversed(parts)).items()) if items is None else items
         return p
 
+    def __reduce__(self):
+        # a pickle loads through the validating constructor, at every protocol
+        return (Partition, (self._parts,))
+
     # -- basic parameters ---------------------------------------------------
 
     @property

@@ -74,6 +74,10 @@ class RationalPolynomial:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
+    def __reduce__(self):
+        # a pickle loads through the canonicalizing constructor, at every protocol
+        return (RationalPolynomial, (self.coeffs,))
+
     def __repr__(self) -> str:
         return f"RationalPolynomial([{', '.join(self.to_strings())}])"
 
@@ -223,14 +227,11 @@ def check_main_theorem(
     return report
 
 
-def random_polynomial(
-    rng: random.Random, max_degree: int = 5, max_height: int = 10
-) -> RationalPolynomial:
-    """Random polynomial of degree <= max_degree; |numerator|, denominator <= max_height."""
-    degree = rng.randint(0, max_degree)
+def random_polynomial(rng: random.Random) -> RationalPolynomial:
+    """Random polynomial of degree <= 5; |numerator|, denominator <= 10."""
+    degree = rng.randint(0, 5)
     return RationalPolynomial(
-        Fraction(rng.randint(-max_height, max_height), rng.randint(1, max_height))
-        for _ in range(degree + 1)
+        Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(degree + 1)
     )
 
 

@@ -4,12 +4,13 @@
 A polynomial maps hashable monomial keys to non-zero integers.  This module
 owns the ring operations on that dict; a subclass only says how two keys
 multiply, how its terms are ordered for output, and how one term renders.
-Every operation builds a new dict, so no operand is ever mutated (cached
-polynomials are shared freely).
+Every result is built by the constructor, which alone fills a term dict, so
+no operand is ever mutated (cached polynomials are shared freely).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Hashable, Iterable, Iterator, Union
 
 # sparse exponent map: ((index, exponent), ...) ascending by index, exponents >= 1
@@ -61,17 +62,6 @@ class SparsePolynomial:
             _accumulate(acc, key, coeff)
         self._terms = acc
 
-    @classmethod
-    def _wrap(cls, acc: dict):
-        # adopt an already canonical dict without copying it
-        out = cls.__new__(cls)
-        out._terms = acc
-        return out
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def terms(self) -> list[tuple[Hashable, int]]:
         """Terms in the subclass's canonical output order."""
         return sorted(
@@ -95,27 +85,21 @@ class SparsePolynomial:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _accumulate(acc, key, coeff)
-        return self._wrap(acc)
+        return type(self)(chain(self._terms.items(), other._terms.items()))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _accumulate(acc, key, -coeff)
-        return self._wrap(acc)
+        return type(self)(chain(self._terms.items(), ((k, -c) for k, c in other._terms.items())))
 
     def __mul__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        acc: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                _accumulate(acc, self._key_product(k1, k2), c1 * c2)
-        return self._wrap(acc)
+        return type(self)(
+            (self._key_product(k1, k2), c1 * c2)
+            for k1, c1 in self._terms.items()
+            for k2, c2 in other._terms.items()
+        )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.pretty()})"

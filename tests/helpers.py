@@ -147,6 +147,16 @@ def shifted_subpartition_sum(lam, s, r):
     return descend(0, r)
 
 
+def random_coefficients(rng, max_degree, max_height):
+    """Coefficients of a random polynomial of degree <= max_degree, lowest first, with
+    |numerator| and denominator <= max_height; the rng calls of random_polynomial."""
+    degree = rng.randint(0, max_degree)
+    return [
+        Fraction(rng.randint(-max_height, max_height), rng.randint(1, max_height))
+        for _ in range(degree + 1)
+    ]
+
+
 def fraction_poly_trim(coeffs):
     """Coefficient list (lowest degree first) as Fractions, trailing zeros dropped."""
     out = [Fraction(c) for c in coeffs]

@@ -7,6 +7,7 @@ import ast
 import importlib
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -120,6 +121,19 @@ def test_tables_are_streams_and_the_removed_methods_stay_removed():
         for product in (lambda: 3 * p, lambda: p * 3):
             with pytest.raises(TypeError):
                 product()
+
+
+@pytest.mark.parametrize("protocol", range(6))
+def test_the_value_types_survive_a_pickle_round_trip(protocol):
+    values = [
+        faadibruno.Partition([1, 3, 1]),
+        faadibruno.RationalPolynomial([1, "1/2", 0, -3]),
+        faadibruno.YPolynomial({((1, 2), (3, 1)): 4, (): -1}),
+        faadibruno.formula_expansion(2, 1),
+    ]
+    for value in values:
+        loaded = pickle.loads(pickle.dumps(value, protocol))
+        assert type(loaded) is type(value) and loaded == value and repr(loaded) == repr(value)
 
 
 def test_a_folding_enumeration_yields_partition_value_pairs():
@@ -398,11 +412,13 @@ def test_unpassed_parameter_rule_on_a_synthetic_source():
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
-    # a default that no call in the package or its tests overrides is a constant
+    # a default that no call in the package or its benchmark overrides is a constant;
+    # a knob that only tests turn is one too
     package = Path(faadibruno.__file__).parent
+    bench = Path(__file__).resolve().parent.parent / "bench"
     src = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))]
-    tests = [ast.parse(p.read_text()) for p in sorted(Path(__file__).parent.glob("*.py"))]
-    assert unpassed_parameters(src, src + tests) == []
+    runners = [ast.parse(p.read_text()) for p in sorted(bench.glob("*.py"))]
+    assert unpassed_parameters(src, src + runners) == []
 
 
 # the modules bench/tracer.py wraps by public name; `sparse` is shared machinery, not a layer

@@ -24,6 +24,7 @@ from faadibruno.bell import (
 )
 from faadibruno.cli import main
 from faadibruno.partitions import CapExceeded
+from faadibruno.sparse import SparsePolynomial
 
 from helpers import exponents_mul, stirling_triangular, terms_add, terms_mul, terms_scale
 
@@ -38,8 +39,8 @@ def test_partial_bell_examples():
     for n in range(1, 8):
         assert partial_bell(n, 1) == YPolynomial.variable(n)
         assert partial_bell(n, n) == ypoly((((1, n),), 1))
-    assert partial_bell(3, 5) == YPolynomial.zero()
-    assert partial_bell(2, 0) == YPolynomial.zero()
+    assert partial_bell(3, 5) == YPolynomial()
+    assert partial_bell(2, 0) == YPolynomial()
 
 
 def test_complete_bell_sums_partials():
@@ -49,12 +50,12 @@ def test_complete_bell_sums_partials():
         (((3, 1),), 1),
     )
     for n in range(8):
-        total = YPolynomial.zero()
+        total = YPolynomial()
         for k in range(n + 1):
             total = total + partial_bell(n, k)
         assert complete_bell(n) == total
         # the r = 0 layer of the modified complete polynomial is the classical one
-        layer = YPolynomial.zero()
+        layer = YPolynomial()
         for k in range(n + 1):
             layer = layer + modified_partial_bell(n, k, 0, 2)
         assert layer == complete_bell(n)
@@ -70,10 +71,10 @@ def test_modified_partial_bell_examples():
 
 
 def test_modified_partial_bell_vanishes_outside_ranges():
-    assert modified_partial_bell(2, 3, 0, 1) == YPolynomial.zero()
-    assert modified_partial_bell(2, 1, 2, 1) == YPolynomial.zero()
-    assert modified_partial_bell(-1, 0, 0, 0) == YPolynomial.zero()
-    assert modified_partial_bell(3, 0, 0, 2) == YPolynomial.zero()
+    assert modified_partial_bell(2, 3, 0, 1) == YPolynomial()
+    assert modified_partial_bell(2, 1, 2, 1) == YPolynomial()
+    assert modified_partial_bell(-1, 0, 0, 0) == YPolynomial()
+    assert modified_partial_bell(3, 0, 0, 2) == YPolynomial()
 
 
 def test_modified_complete_bell_examples():
@@ -100,7 +101,7 @@ def test_modified_complete_bell_walks_once_per_r_and_refuses_before_any_walk(mon
     monkeypatch.setattr(coefficients, "constrained_coefficients", counted)
     for n in range(9):
         for s in range(4):
-            partials = YPolynomial.zero()
+            partials = YPolynomial()
             for r in range(n + 1):
                 for k in range(r, n + 1):
                     partials = partials + modified_partial_bell(n, k, r, s)
@@ -153,7 +154,7 @@ def test_bell_recurrence_in_variables():
             for k in range(n + 1):
                 for r in range(k + 2):
                     lhs = modified_partial_bell(n + 1, k + 1, r, s)
-                    rhs = YPolynomial.zero()
+                    rhs = YPolynomial()
                     for l in range(n - k + 1):
                         rhs = rhs + YPolynomial({(): comb(n, l)}) * (
                             YPolynomial.variable(l + 1) * modified_partial_bell(n - l, k, r, s)
@@ -290,7 +291,9 @@ def test_ypolynomial_algebra():
     y1 = YPolynomial.variable(1)
     y2 = YPolynomial.variable(2)
     assert (y1 + y2) * (y1 - y2) == y1 * y1 - y2 * y2
-    assert YPolynomial({(): 0}) * y1 == YPolynomial.zero()
+    # the cross terms y1·y2 cancel, and no key is stored for them
+    assert dict((y1 + y2) * (y1 + YPolynomial({(): -1}) * y2)) == {((1, 2),): 1, ((2, 2),): -1}
+    assert YPolynomial({(): 0}) * y1 == YPolynomial()
     assert y1.shift_vars(2) == YPolynomial.variable(3)
     assert (y1 * y1).substitute_geometric() == {(2, 2): 1}
     assert YPolynomial({(): 1}).substitute_geometric() == {(0, 0): 1}
@@ -308,7 +311,7 @@ def test_ypolynomial_rendering(capsysbinary):
         {"y": {"1": 1, "3": 1}, "coeff": "4"},
         {"y": {"2": 2}, "coeff": "3"},
     ]
-    assert YPolynomial.zero().pretty() == "0"
+    assert YPolynomial().pretty() == "0"
     assert poly.latex() == "4\\, y_{1} y_{3} + 3\\, y_{2}^{2}"
     # a constant term prints its empty product as 1; a coefficient of 1 is left out
     mixed = YPolynomial({(): -3, ((1, 2),): 1})
@@ -347,6 +350,7 @@ def assert_canonical(p):
 @given(y_terms, y_terms, y_terms, st.integers(-3, 3))
 def test_y_operations_stay_canonical_and_match_reference(a, b, c, factor):
     p, q, r = YPolynomial(a), YPolynomial(b), YPolynomial(c)
+    operands = [dict(x) for x in (p, q, r)]
     ra, rb = terms_add(a, {}), terms_add(b, {})
     cases = [
         (p, ra),
@@ -366,12 +370,15 @@ def test_y_operations_stay_canonical_and_match_reference(a, b, c, factor):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert p + YPolynomial.zero() == p
+    assert p + YPolynomial() == p
     assert p * YPolynomial({(): 1}) == p
-    assert not (p - p) and p - p == YPolynomial.zero()
+    for zero in (p - p, p + YPolynomial({(): -1}) * p):
+        assert not zero and zero == YPolynomial() and len(zero) == 0
     assert [t for t in p.terms()] == sorted(
         ra.items(), key=lambda t: (sum(i * e for i, e in t[0]), t[0])
     )
+    # no operation changed its operands
+    assert [dict(x) for x in (p, q, r)] == operands
 
 
 @settings(max_examples=60, deadline=None)
@@ -429,7 +436,7 @@ def test_modified_partial_bell_vanishes_before_any_check_or_cache():
     # outside 0 <= r <= k <= n the value is zero at any weight, under any cap
     before = modified_partial_bell.cache_info()
     for args in [(100, 101, 0, 1), (70, 3, 4, 5), (-1, 0, 0, 0), (9, 4, -1, 2), (8, -1, 0, 0)]:
-        assert modified_partial_bell(*args, cap=0) == YPolynomial.zero()
+        assert modified_partial_bell(*args, cap=0) == YPolynomial()
     after = modified_partial_bell.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     with pytest.raises(ValueError, match="s must be non-negative"):
@@ -444,6 +451,27 @@ def test_verify_builds_each_modified_bell_polynomial_once():
     report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
     assert report["passed"] is True
     assert modified_partial_bell.cache_info().misses == 480
+
+
+def test_verify_pins_the_sparse_ring_work(monkeypatch):
+    # a clockless work pin on the ring that the y and the F, G, Y polynomials share:
+    # with the Bell caches cleared, verify (7, 3, 50) makes 55 sums, no difference
+    # and 3,981 products
+    names = ("__add__", "__sub__", "__mul__")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(SparsePolynomial, name)
+
+        def counted(self, other, real=real, name=name):
+            counts[name] += 1
+            return real(self, other)
+
+        monkeypatch.setattr(SparsePolynomial, name, counted)
+    partial_bell.cache_clear()
+    modified_partial_bell.cache_clear()
+    report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
+    assert report["passed"] is True
+    assert counts == {"__add__": 55, "__sub__": 0, "__mul__": 3981}
 
 
 def test_stirling_table_passes_its_cap(monkeypatch):
@@ -500,5 +528,5 @@ def test_a_negative_shift_or_table_bound_is_refused():
 
 
 def test_a_negative_order_gives_zero():
-    assert modified_complete_bell(-1, 0) == YPolynomial.zero()
+    assert modified_complete_bell(-1, 0) == YPolynomial()
     assert stirling_convolution(-1, 0, 0) == 0

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 
 import pytest
@@ -189,6 +190,14 @@ def test_derivation_leibniz_with_carried_symbols():
         assert lhs == rhs
 
 
+def test_cancelled_cross_terms_are_not_stored():
+    # (Y1 + Z1)(F·Y1 - F·Z1): the cross terms F·Y1·Z1 cancel, and no key is stored for them
+    y1, z1 = DiffPolynomial.term(monomial(y={1: 1})), DiffPolynomial.term(monomial(z={1: 1}))
+    f, minus_f = poly((monomial(0), 1)), poly((monomial(0), -1))
+    product = (y1 + z1) * (f * y1 + minus_f * z1)
+    assert dict(product) == {monomial(0, y={1: 2}): 1, monomial(0, z={1: 2}): -1}
+
+
 def test_product_rejects_double_symbols():
     p = DiffPolynomial.term(SEED)
     with pytest.raises(ValueError):
@@ -222,7 +231,7 @@ def test_pretty_and_json_rendering(capsysbinary):
         {"f": 1, "g": 0, "y": {"1": 1}, "z": {}, "coeff": "1"},
         {"f": 0, "g": 1, "y": {"2": 1}, "z": {}, "coeff": "1"},
     ]
-    assert DiffPolynomial.zero().pretty() == "0"
+    assert DiffPolynomial().pretty() == "0"
     # orders past 3 switch from prime marks to superscripts
     high = DiffPolynomial.term(monomial(4, 0, {5: 2}))
     assert high.pretty() == "f^(4)·g·φ^(5)^2"
@@ -268,6 +277,7 @@ def assert_canonical(p):
 @given(carried_terms, variable_terms, variable_terms, st.integers(-3, 3))
 def test_diff_operations_stay_canonical_and_match_reference(a, b, c, factor):
     p, q, r = DiffPolynomial(a), DiffPolynomial(b), DiffPolynomial(c)
+    operands = [dict(x) for x in (p, q, r)]
     constant = DiffPolynomial({DiffMonomial(None, None, (), ()): factor})
     ra, rb = terms_add(a, {}), terms_add(b, {})
     cases = [
@@ -289,10 +299,14 @@ def test_diff_operations_stay_canonical_and_match_reference(a, b, c, factor):
     assert (p + q) + r == p + (q + r)
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
-    assert p + DiffPolynomial.zero() == p
+    assert p + DiffPolynomial() == p
     assert p * DiffPolynomial.term(DiffMonomial(None, None, (), ())) == p
-    assert not (p - p) and p - p == DiffPolynomial.zero()
+    minus_one = DiffPolynomial({DiffMonomial(None, None, (), ()): -1})
+    for zero in (p - p, p + minus_one * p):
+        assert not zero and zero == DiffPolynomial() and len(zero) == 0
     assert_canonical(derive(q, "independent"))
+    # no operation changed its operands
+    assert [dict(x) for x in (p, q, r)] == operands
 
 
 @settings(max_examples=100, deadline=None)
@@ -314,7 +328,13 @@ def test_diff_polynomial_never_equals_y_polynomial(a, b):
     d, y = DiffPolynomial(a), YPolynomial(b)
     assert d != y and y != d
     assert not (d == y) and not (y == d)
-    assert DiffPolynomial.zero() != YPolynomial.zero()
+    assert DiffPolynomial() != YPolynomial()
+    # nor does either ring take the other's polynomial in +, - or *
+    for left, right in ((d, y), (y, d)):
+        for operation in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                operation(left, right)
+    assert (dict(d), dict(y)) == (terms_add(a, {}), terms_add(b, {}))
 
 
 @pytest.mark.parametrize(
