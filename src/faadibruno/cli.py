@@ -2,8 +2,8 @@
 Bell/Stirling output, concrete checks, and the verification suites.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or resource error
-(including cap violations, an unwritable --out file and running out of
-memory).  Output is byte-deterministic for identical flags and seed.
+(cap violations, an unwritable --out file, running out of memory), 130 an
+interrupt.  Output is byte-deterministic for identical flags and seed.
 """
 
 from __future__ import annotations
@@ -391,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -76,12 +76,6 @@ class Partition:
         """(part size, multiplicity) pairs, ascending by part size."""
         return self._items
 
-    def multiplicity(self, i: int) -> int:
-        """m_i; zero for absent sizes and for i = 0 (by convention)."""
-        if i < 0:
-            raise ValueError("part sizes are non-negative; no multiplicity for i < 0")
-        return self._parts.count(i)
-
     def moment(self, k: int) -> int:
         """Sum of the k-th powers of the parts, k >= 1."""
         if k <= 0:

@@ -47,6 +47,7 @@ def _term(factors: list[str], coeff: int, join: str, mark: str) -> str:
 class SparsePolynomial:
     """Sparse integer polynomial over hashable monomial keys.
 
+    It is unhashable on purpose (no ``__hash__``): nothing keys a dict or a set by one.
     Subclass hooks: ``_key_product(k1, k2)``, ``_order(key)`` with the
     ``_descending`` flag for :meth:`terms`, and ``_pretty_term`` /
     ``_latex_term(key, coeff)``, which render one term's factors through :func:`_term`.

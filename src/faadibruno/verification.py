@@ -129,27 +129,22 @@ def _check_partition_counts(max_n, max_s, rng, trials, cap):
 )
 def _check_partition_modifications(max_n, max_s, rng, trials, cap):
     for lam in _all_partitions_upto(max_n):
+        counts = dict(lam.items())
         for j, m, removed_parts, lowered_parts in modifications(lam.parts):
             # descending as built: the recurrence keys its memo on the raw tuples
             removed, lowered = Partition(removed_parts), Partition(lowered_parts)
+            # m_j lowered by one; lowering the j also raises m_{j-1} when j > 1
+            fewer = {i: c - (i == j) for i, c in counts.items() if (i, c) != (j, 1)}
+            moved = {**fewer, j - 1: fewer.get(j - 1, 0) + 1} if j > 1 else fewer
             ok = (
-                m == lam.multiplicity(j)
+                m == counts.get(j, 0)
                 and (removed.parts, lowered.parts) == (removed_parts, lowered_parts)
                 and removed.weight == lam.weight - j
                 and removed.length == lam.length - 1
-                and all(
-                    removed.multiplicity(i) == lam.multiplicity(i) - (1 if i == j else 0)
-                    for i in range(1, lam.weight + 2)
-                )
+                and dict(removed.items()) == fewer
                 and lowered.weight == lam.weight - 1
                 and lowered.length == lam.length - (1 if j == 1 else 0)
-                and all(
-                    lowered.multiplicity(i)
-                    == lam.multiplicity(i)
-                    + (1 if (i == j - 1 and i >= 1) else 0)
-                    - (1 if i == j else 0)
-                    for i in range(1, lam.weight + 2)
-                )
+                and dict(lowered.items()) == moved
             )
             if j == 1:
                 ok = ok and lowered == removed
@@ -164,17 +159,16 @@ def _check_partition_modifications(max_n, max_s, rng, trials, cap):
 def _check_union_shift(max_n, max_s, rng, trials, cap):
     pool = _all_partitions_upto(max_n)
     for mu in pool:
+        counts = dict(mu.items())
         for nu in pool:
             if mu.weight + nu.weight > max_n:
                 continue
             both = mu.union(nu)
+            added = {i: counts.get(i, 0) + c for i, c in nu.items()}
             ok = (
                 both.weight == mu.weight + nu.weight
                 and both.length == mu.length + nu.length
-                and all(
-                    both.multiplicity(i) == mu.multiplicity(i) + nu.multiplicity(i)
-                    for i in range(1, max_n + 2)
-                )
+                and dict(both.items()) == {**counts, **added}
             )
             yield None if ok else {"mu": list(mu.parts), "nu": list(nu.parts)}
     for mu in pool:
@@ -183,11 +177,7 @@ def _check_union_shift(max_n, max_s, rng, trials, cap):
             ok = (
                 shifted.length == mu.length
                 and shifted.weight == mu.weight + s * mu.length
-                and all(
-                    shifted.multiplicity(i + s) == mu.multiplicity(i)
-                    for i in range(1, max_n + 2)
-                )
-                and all(shifted.multiplicity(i) == 0 for i in range(1, s + 1))
+                and shifted.items() == tuple((i + s, c) for i, c in mu.items())
             )
             yield None if ok else {"mu": list(mu.parts), "s": s}
 

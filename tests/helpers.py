@@ -62,13 +62,11 @@ def remove_one(values, value):
 def partition_reference(parts, s):
     """The read-only queries of a partition, from its plain list of parts.
 
-    Returns (parts, items, multiplicities, moments, length_above, pochhammer):
-    the parts sorted decreasing, the (size, multiplicity) pairs ascending, a
-    Counter of the sizes, the moments k = 1..4, the number of parts above s,
-    and the falling factorials a(a-1)...(a-s+1) sorted decreasing (None when
-    some part is smaller than s).
+    Returns (parts, items, moments, length_above, pochhammer): the parts
+    sorted decreasing, the (size, multiplicity) pairs ascending, the moments
+    k = 1..4, the number of parts above s, and the falling factorials
+    a(a-1)...(a-s+1) sorted decreasing (None when some part is smaller than s).
     """
-    counts = Counter(parts)
     moments = [sum(a**k for a in parts) for k in range(1, 5)]
     if any(a < s for a in parts):
         falling = None
@@ -76,8 +74,7 @@ def partition_reference(parts, s):
         falling = tuple(sorted((prod(range(a - s + 1, a + 1)) for a in parts), reverse=True))
     return (
         tuple(sorted(parts, reverse=True)),
-        tuple(sorted(counts.items())),
-        counts,
+        tuple(sorted(Counter(parts).items())),
         moments,
         sum(1 for a in parts if a > s),
         falling,

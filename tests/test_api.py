@@ -1,7 +1,7 @@
 """The public names of the `faadibruno` package, pinned so that any change is deliberate,
 the rule that each of them, and each public top-level name of every module, is used
-somewhere inside the package, and the rule that no layer module reads another layer's
-private names."""
+somewhere inside the package, the rule that no layer module reads another layer's
+private names, and the rule that no line of the package or its tests is over 100 columns."""
 
 import ast
 import importlib
@@ -134,6 +134,12 @@ def test_the_value_types_survive_a_pickle_round_trip(protocol):
     for value in values:
         loaded = pickle.loads(pickle.dumps(value, protocol))
         assert type(loaded) is type(value) and loaded == value and repr(loaded) == repr(value)
+        # the two hashable value types keep their hash; the sparse ring is unhashable
+        if isinstance(value, (faadibruno.Partition, faadibruno.RationalPolynomial)):
+            assert hash(loaded) == hash(value)
+        else:
+            with pytest.raises(TypeError):
+                hash(loaded)
 
 
 def test_a_folding_enumeration_yields_partition_value_pairs():
@@ -508,6 +514,18 @@ def test_no_module_reads_a_private_name_of_another_layer():
         for path in sorted(package.glob("*.py"))
     }
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_no_line_is_longer_than_100_columns():
+    root = Path(__file__).resolve().parent.parent
+    paths = [*sorted((root / "src" / "faadibruno").glob("*.py")), *sorted(root.glob("tests/*.py"))]
+    long_lines = [
+        f"{path.relative_to(root)}:{number}"
+        for path in paths
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long_lines == []
 
 
 def test_readme_quick_start_gives_the_values_its_comments_name():

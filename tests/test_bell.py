@@ -221,7 +221,8 @@ def test_stirling_recurrence_corrected():
             for r in range(k + 2):
                 lhs = modified_stirling(n + 1, k + 1, r)
                 rhs = sum(
-                    comb(n, l) * (modified_stirling(n - l, k, r) + modified_stirling(n - l, k, r - 1))
+                    comb(n, l)
+                    * (modified_stirling(n - l, k, r) + modified_stirling(n - l, k, r - 1))
                     for l in range(n - k + 1)
                 )
                 assert lhs == rhs

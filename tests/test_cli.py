@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -768,6 +769,41 @@ def test_an_overflow_under_a_raised_cap_exits_2_with_one_error_line(argv, writte
     code, stdout, stderr = run_main([*argv, "--cap", "99999999999999999999999"])
     assert (code, stdout) == (2, written)
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def _spawn(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "faadibruno", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def test_an_interrupt_exits_130_with_one_error_line():
+    # a SIGINT to the child alone while its table streams, as a shell's Ctrl-C sends
+    proc = _spawn("coeff", "--n", "40", "--s", "0", "--format", "csv")
+    try:
+        assert proc.stdout.readline() == b"0,40,1\n"
+        proc.send_signal(signal.SIGINT)
+        _out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (130, b"error: interrupted\n")
+    finally:
+        proc.kill()
+
+
+def test_a_closed_stdout_exits_2_with_one_error_line():
+    # the reader stops after 10 bytes, as `head -c 10` does
+    proc = _spawn("partitions", "--n", "50", "--format", "csv")
+    try:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
+    finally:
+        proc.kill()
 
 
 SMALL_VERIFY = ["verify", "--max-n", "3", "--max-s", "1", "--trials", "2"]

@@ -345,7 +345,9 @@ def _table_evaluator(monkeypatch, n, s):
 @pytest.mark.parametrize(
     "n, s, entries",
     [
-        # sum over w <= 22 of p(w): one entry per partition the walk can reach
+        # sum over w <= n of p(w): one entry per partition the walk can reach
+        (10, 0, 139),
+        (16, 0, 915),
         (22, 0, 4508),
         # one entry per partition the recurrence reaches from the table's entries
         (10, 4, 1073),

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,8 @@ def test_make_partition_counts_multiplicities():
     assert lam.items() == ((1, 2), (2, 1))
     assert lam.weight == 4
     assert lam.length == 3
+    # m_i for the sizes present, ascending; an absent size is not listed
+    assert Partition([1, 3, 1, 3]).items() == ((1, 2), (3, 2))
 
 
 def test_empty_partition():
@@ -42,6 +46,7 @@ def test_empty_partition():
     assert lam.length == 0
     assert not lam
     assert lam.parts == ()
+    assert lam.items() == ()
 
 
 def test_order_insensitive_equality_and_hash():
@@ -54,16 +59,6 @@ def test_order_insensitive_equality_and_hash():
 def test_make_partition_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         Partition([bad])
-
-
-def test_multiplicity_queries():
-    lam = Partition([2, 1, 1])
-    assert lam.multiplicity(1) == 2
-    assert lam.multiplicity(2) == 1
-    assert lam.multiplicity(3) == 0
-    assert lam.multiplicity(0) == 0  # m_0 vanishes by convention
-    with pytest.raises(ValueError):
-        lam.multiplicity(-1)
 
 
 def test_moments():
@@ -245,12 +240,19 @@ def test_listing_walk_places_one_part_per_partition_but_one():
             assert values == _pushes_expected(enumerate_partitions(n)), n
 
 
+def _prefixes(partitions):
+    # the distinct prefixes ending in a part above 1 of the partitions given
+    above = [(lam.parts, sum(a > 1 for a in lam.parts)) for lam in partitions]
+    return {parts[:i] for parts, k in above for i in range(1, k + 1)}
+
+
 def test_constrained_walk_places_no_part_off_the_way_to_a_partition():
-    # every part placed lies on the way to some partition produced, so the
-    # parts placed never exceed the parts above 1 of the partitions produced;
-    # a folding walk pairs each value with the partition the plain walk yields
-    for n in range(11):
-        for s in range(3):
+    # every part placed lies on the way to some partition produced, and a
+    # prefix shared by several is placed once, so the pushes are exactly the
+    # distinct prefixes ending in a part above 1; a folding walk pairs each
+    # value with the partition the plain walk yields
+    for n in range(13):
+        for s in range(4):
             for r in range(n + 1):
                 weight = n + r * s
                 for length in [None, *range(weight + 1)]:
@@ -260,7 +262,17 @@ def test_constrained_walk_places_no_part_off_the_way_to_a_partition():
                     built = list(enumerate_constrained(n, r, s, length=length))
                     assert [lam for lam, _value in pairs] == built, (n, r, s, length)
                     assert values == _pushes_expected(built), (n, r, s, length)
-                    assert pushed[0] <= sum(map(len, values)), (n, r, s, length)
+                    assert pushed[0] == len(_prefixes(built)), (n, r, s, length)
+
+
+@pytest.mark.parametrize("n, length, pushes, count", [(40, 10, 11756, 3590), (30, 6, 1334, 532)])
+def test_an_exact_length_walk_makes_a_pinned_number_of_pushes(n, length, pushes, count):
+    # the walk's work at a fixed length, pinned exactly and checked against the
+    # prefix law: a change that places more parts fails here
+    pushed, fold = _counting_fold()
+    built = [lam for lam, _value in enumerate_constrained(n, 0, 0, length=length, fold=fold)]
+    assert (pushed[0], len(built)) == (pushes, count)
+    assert pushed[0] == len(_prefixes(built))
 
 
 def test_enumerate_constrained_rejects_negative_length():
@@ -306,6 +318,11 @@ def test_union_and_shift_examples():
     assert Partition([]).shift_up(5) == Partition([])
 
 
+def _counts(lam):
+    # the m_i of lam's items as a Counter, which adds and subtracts them
+    return Counter(dict(lam.items()))
+
+
 def test_union_shift_parameter_laws_exhaustive():
     pool = [lam for n in range(11) for lam in enumerate_partitions(n)]
     for mu in pool:
@@ -315,15 +332,13 @@ def test_union_shift_parameter_laws_exhaustive():
             both = mu.union(nu)
             assert both.weight == mu.weight + nu.weight
             assert both.length == mu.length + nu.length
-            for i in range(1, 12):
-                assert both.multiplicity(i) == mu.multiplicity(i) + nu.multiplicity(i)
+            assert _counts(both) == _counts(mu) + _counts(nu)
     for mu in pool:
         for s in range(4):
             up = mu.shift_up(s)
             assert up.length == mu.length
             assert up.weight == mu.weight + s * mu.length
-            for i in range(1, 12):
-                assert up.multiplicity(i + s) == mu.multiplicity(i)
+            assert up.items() == tuple((i + s, m) for i, m in mu.items())
 
 
 def test_remove_and_decrement_examples():
@@ -350,10 +365,9 @@ def test_modification_parameter_laws_exhaustive():
                 assert removed.length == lam.length - 1
                 assert lowered.weight == lam.weight - 1
                 assert lowered.length == lam.length - (1 if j == 1 else 0)
-                for i in range(1, n + 2):
-                    assert removed.multiplicity(i) == lam.multiplicity(i) - (i == j)
-                    expected = lam.multiplicity(i) - (i == j) + (i == j - 1 and i >= 1)
-                    assert lowered.multiplicity(i) == expected
+                fewer = _counts(lam) - Counter({j: 1})
+                assert _counts(removed) == fewer
+                assert _counts(lowered) == fewer + Counter({j - 1: 1} if j > 1 else {})
                 if j == 1:
                     assert lowered == removed
 
@@ -405,12 +419,10 @@ def part_lists(draw, max_weight=24):
 @given(parts=part_lists(), s=st.integers(0, 6))
 def test_queries_match_plain_list_reference(parts, s):
     lam = Partition(parts)
-    ordered, items, counts, moments, above, falling = partition_reference(parts, s)
+    ordered, items, moments, above, falling = partition_reference(parts, s)
     assert lam.parts == ordered
     assert lam.items() == items
     assert (lam.weight, lam.length) == (sum(parts), len(parts))
-    for i in range(26):
-        assert lam.multiplicity(i) == counts[i]
     assert [lam.moment(k) for k in range(1, 5)] == moments
     assert lam.length_above(s) == above
     if falling is None:
