@@ -99,15 +99,12 @@ def _capped_cache(weight):
     return decorate
 
 
-@_capped_cache(lambda n, k: n)
+@_capped_cache(lambda n, k: n if 0 <= k <= n else None)
 def partial_bell(n: int, k: int) -> YPolynomial:
     """Classical partial Bell polynomial: chain-rule coefficients of partitions of n with k parts.
 
-    Zero outside 0 <= k <= n (except the constant 1 at n = k = 0).  Takes the
-    keyword ``cap``: CapExceeded when n > cap.
+    Zero where 0 <= k <= n fails, under any ``cap``; otherwise CapExceeded when n > cap.
     """
-    if n < 0 or k < 0 or k > n:
-        return YPolynomial()
     return YPolynomial(
         (lam.items(), faa_di_bruno_coeff(lam))
         for lam in enumerate_constrained(n, 0, 0, cap=n, length=k)
@@ -197,13 +194,13 @@ def stirling2(n: int, k: int) -> int:
 
 
 def modified_stirling(n: int, k: int, r: int, cap: int = DEFAULT_WEIGHT_CAP) -> int:
-    """Image of modified_partial_bell under y_i -> c^i x, read off at c^(n+rs) x^k.
-    Computed as binom(k, r) * S(n, k), which `verify` checks against that
-    partition sum at every s.  CapExceeded when n > cap.
+    """Image of modified_partial_bell under y_i -> c^i x, read off at c^(n+rs) x^k:
+    binom(k, r) * S(n, k), which `verify` checks against that partition sum at every s.
+    Zero where 0 <= r <= k <= n fails, under any cap; otherwise CapExceeded when n > cap.
     """
-    CapExceeded.check(n, cap, "modified_stirling")
-    if r < 0 or r > k:
+    if not 0 <= r <= k <= n:
         return 0
+    CapExceeded.check(n, cap, "modified_stirling")
     return comb(k, r) * stirling2(n, k)
 
 

@@ -47,8 +47,8 @@ from .partitions import (
 from .sparse import _accumulate
 
 
-def _all_partitions_upto(n_max: int) -> list[Partition]:
-    return [lam for n in range(n_max + 1) for lam in enumerate_partitions(n)]
+def _all_partitions_upto(n_max: int, cap: int) -> list[Partition]:
+    return [lam for n in range(n_max + 1) for lam in enumerate_partitions(n, cap=cap)]
 
 
 def _multisets(card_max: int, entry_max: int):
@@ -110,10 +110,10 @@ def _suite(key: str, statement: str, informational: bool = False):
     "with no duplicates and correct weights",
 )
 def _check_partition_counts(max_n, max_s, rng, trials, cap):
-    bound = min(2 * max_n, 30)
+    bound = min(2 * max_n, 30, cap)  # past max_n by choice, so never past the cap
     dp = partition_count_dp(bound)
     for n in range(bound + 1):
-        seen = list(enumerate_partitions(n))
+        seen = list(enumerate_partitions(n, cap=cap))
         ok = (
             len(seen) == dp[n]
             and len(set(seen)) == len(seen)
@@ -128,7 +128,7 @@ def _check_partition_counts(max_n, max_s, rng, trials, cap):
     "by the expected deltas",
 )
 def _check_partition_modifications(max_n, max_s, rng, trials, cap):
-    for lam in _all_partitions_upto(max_n):
+    for lam in _all_partitions_upto(max_n, cap):
         counts = dict(lam.items())
         for j, m, removed_parts, lowered_parts in modifications(lam.parts):
             # descending as built: the recurrence keys its memo on the raw tuples
@@ -157,7 +157,7 @@ def _check_partition_modifications(max_n, max_s, rng, trials, cap):
     "length and adds s*length to the weight",
 )
 def _check_union_shift(max_n, max_s, rng, trials, cap):
-    pool = _all_partitions_upto(max_n)
+    pool = _all_partitions_upto(max_n, cap)
     for mu in pool:
         counts = dict(mu.items())
         for nu in pool:
@@ -188,7 +188,7 @@ def _check_union_shift(max_n, max_s, rng, trials, cap):
     "and shifting up by s always lands on such a fixed point, invertibly",
 )
 def _check_truncation_fixed_points(max_n, max_s, rng, trials, cap):
-    for lam in _all_partitions_upto(max_n):
+    for lam in _all_partitions_upto(max_n, cap):
         for s in range(max_s + 1):
             fixed = lam.truncate_above(s) == lam
             expected = all(i > s for i, _ in lam.items())
@@ -247,7 +247,7 @@ def _check_subtract_transform(max_n, max_s, rng, trials, cap):
     "sub-partitions of length r",
 )
 def _check_subpartition_sum(max_n, max_s, rng, trials, cap):
-    for eta in _all_partitions_upto(max_n):
+    for eta in _all_partitions_upto(max_n, cap):
         for s in range(max_s + 1):
             if s >= 1 and any(i <= s for i, _ in eta.items()):
                 continue
@@ -265,7 +265,7 @@ def _check_subpartition_sum(max_n, max_s, rng, trials, cap):
 def _check_shifted_subpartition_sum(max_n, max_s, rng, trials, cap):
     # sums[r]: over the sub-partitions mu of length r of nu = (lam_i - s : lam_i > s),
     # the sum of prod_j binom(m_j(nu), m_j(mu)) * ((j + s)! / j!)^(m_j(mu))
-    for lam in _all_partitions_upto(max_n):
+    for lam in _all_partitions_upto(max_n, cap):
         for s in range(max_s + 1):
             trunc = lam.truncate_above(s)
             vector = symfunc.elementary_moments(trunc.pochhammer(s), trunc.length + 1)
@@ -284,7 +284,7 @@ def _check_shifted_subpartition_sum(max_n, max_s, rng, trials, cap):
     "classical chain-rule coefficient",
 )
 def _check_binomial_specialization(max_n, max_s, rng, trials, cap):
-    for lam in _all_partitions_upto(max_n):
+    for lam in _all_partitions_upto(max_n, cap):
         base = faa_di_bruno_coeff(lam)
         for r in range(lam.length + 1):
             ok = c_coeff(lam, r, 0) == comb(lam.length, r) * base
@@ -297,7 +297,7 @@ def _check_binomial_specialization(max_n, max_s, rng, trials, cap):
     "coefficient for every shift s",
 )
 def _check_r0_reduction(max_n, max_s, rng, trials, cap):
-    for lam in _all_partitions_upto(max_n):
+    for lam in _all_partitions_upto(max_n, cap):
         base = faa_di_bruno_coeff(lam)
         for s in range(max_s + 1):
             ok = c_coeff(lam, 0, s) == base
@@ -516,7 +516,7 @@ def _stirling_by_definition(n, k, r, cap):
 )
 def _check_stirling_s_independent(max_n, max_s, rng, trials, cap):
     for n, k, r in _triangle(max_n + 1):
-        expected = bell.modified_stirling(n, k, r)
+        expected = bell.modified_stirling(n, k, r, cap=cap)
         for s in range(max_s + 1):
             image = bell.modified_partial_bell(n, k, r, s, cap=cap).substitute_geometric()
             wanted = {(n + r * s, k): expected} if expected else {}
@@ -588,11 +588,11 @@ def _check_stirling_row_sum(max_n, max_s, rng, trials, cap):
 )
 def _check_stirling_recurrence(max_n, max_s, rng, trials, cap):
     for n, k, r in _triangle(max_n, 1):
-        lhs = bell.modified_stirling(n + 1, k + 1, r)
+        lhs = bell.modified_stirling(n + 1, k + 1, r, cap=cap)
         rhs = sum(
-            comb(n, l)
-            * (bell.modified_stirling(n - l, k, r) + bell.modified_stirling(n - l, k, r - 1))
+            comb(n, l) * bell.modified_stirling(n - l, k, r_in, cap=cap)
             for l in range(n - k + 1)
+            for r_in in (r, r - 1)
         )
         yield None if lhs == rhs else {"n": n, "k": k, "r": r}
 
@@ -606,11 +606,11 @@ def _check_stirling_recurrence(max_n, max_s, rng, trials, cap):
 def _check_stirling_recurrence_unshifted(max_n, max_s, rng, trials, cap):
     # deliberately checks the variant whose summand ignores l; it is false
     for n, k, r in _triangle(max_n, 1):
-        lhs = bell.modified_stirling(n + 1, k + 1, r)
+        lhs = bell.modified_stirling(n + 1, k + 1, r, cap=cap)
         rhs = sum(
-            comb(n, l)
-            * (bell.modified_stirling(n, k, r) + bell.modified_stirling(n, k, r - 1))
+            comb(n, l) * bell.modified_stirling(n, k, r_in, cap=cap)
             for l in range(n - k + 1)
+            for r_in in (r, r - 1)
         )
         yield None if lhs == rhs else {
             "n": n,

@@ -1,7 +1,8 @@
 """The public names of the `faadibruno` package, pinned so that any change is deliberate,
 the rule that each of them, and each public top-level name of every module, is used
 somewhere inside the package, the rule that no layer module reads another layer's
-private names, and the rule that no line of the package or its tests is over 100 columns."""
+private names, the rule that a function taking ``cap`` passes it to every package call
+that takes it, and the rule that no line of the package or its tests is over 100 columns."""
 
 import ast
 import importlib
@@ -425,6 +426,104 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
     src = [ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))]
     runners = [ast.parse(p.read_text()) for p in sorted(bench.glob("*.py"))]
     assert unpassed_parameters(src, src + runners) == []
+
+
+def _takes_cap(fn):
+    args = fn.args
+    return "cap" in {arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs}
+
+
+def cap_positions(trees):
+    """Callee name -> the position at which a call passes ``cap``, for each function or
+    method in *trees* that takes it; None where it is passed by keyword only.
+
+    A method's position leaves out self or cls.  A function wrapped by
+    ``_capped_cache`` takes the front's keyword ``cap``.
+    """
+    positions = {}
+
+    def visit(body, bound):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+            elif isinstance(node, ast.FunctionDef):
+                decorators = [getattr(d, "func", d) for d in node.decorator_list]
+                decorators = {getattr(d, "id", getattr(d, "attr", None)) for d in decorators}
+                positional = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+                if "cap" in positional:
+                    shift = bound and "staticmethod" not in decorators
+                    positions[node.name] = positional.index("cap") - shift
+                elif "_capped_cache" in decorators or _takes_cap(node):
+                    positions[node.name] = None
+                visit(node.body, False)
+
+    for tree in trees:
+        visit(tree.body, False)
+    return positions
+
+
+def dropped_caps(modules):
+    """module:line:callee for each call, inside a function that takes ``cap``, of a
+    function in *modules* (name -> tree) that takes it too, where the call passes no cap.
+
+    A call passes it by keyword, by position, by a starred argument or by a ** argument.
+    """
+    positions = cap_positions(modules.values())
+    dropped = set()
+    for module, tree in modules.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.Lambda)) or not _takes_cap(fn):
+                continue
+            for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name not in positions:
+                    continue
+                position = positions[name]
+                passed = (
+                    any(keyword.arg in ("cap", None) for keyword in call.keywords)
+                    or any(isinstance(arg, ast.Starred) for arg in call.args)
+                    or (position is not None and len(call.args) > position)
+                )
+                if not passed:
+                    dropped.add((module, call.lineno, call.col_offset, name))
+    return [f"{module}:{line}:{name}" for module, line, _col, name in sorted(dropped)]
+
+
+def test_dropped_cap_rule_on_a_synthetic_source():
+    tree = ast.parse(
+        "def walk(n, cap=64):\n"
+        "    return n\n"
+        "@_capped_cache(lambda n: n)\n"
+        "def front(n):\n"
+        "    return n\n"
+        "class Gate:\n"
+        "    @classmethod\n"
+        "    def check(cls, weight, cap):\n"
+        "        return weight <= cap\n"
+        "def free(n):\n"
+        "    return walk(n) + front(n)\n"
+        "def suite(n, cap):\n"
+        "    Gate.check(n, cap)\n"
+        "    total = walk(n, cap) + walk(n, cap=cap) + front(n, cap=cap) + walk(*[n, cap])\n"
+        "    total += sum(walk(k) + front(k) for k in range(n))\n"
+        "    inner = lambda k: walk(k)\n"
+        "    return total + front(n, **{'cap': cap}) + Gate.check(n)\n"
+        "def keyword_only(n, *, cap):\n"
+        "    return walk(n) + len(str(n))\n"
+    )
+    positions = {"walk": 1, "front": None, "check": 1, "suite": 1, "keyword_only": None}
+    assert cap_positions([tree]) == positions
+    assert dropped_caps({"m": tree}) == [
+        "m:15:walk", "m:15:front", "m:16:walk", "m:17:check", "m:19:walk"
+    ]
+
+
+def test_a_function_that_takes_cap_passes_it_on():
+    # a call that drops the cap falls back to the default one, so a run under a
+    # lower cap would enumerate past it
+    package = Path(faadibruno.__file__).parent
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert dropped_caps(modules) == []
 
 
 # the modules bench/tracer.py wraps by public name; `sparse` is shared machinery, not a layer

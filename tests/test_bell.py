@@ -396,7 +396,9 @@ def test_cached_partial_bell_survives_use_as_operand(n, k, a, factor):
     assert cached * other == other * cached
     assert (cached * cached).shift_vars(1) == cached.shift_vars(1) * cached.shift_vars(1)
     cached.substitute_geometric()
-    assert partial_bell(n, k) is cached
+    # only a value inside 0 <= k <= n is cached; the zero outside is built afresh
+    again = partial_bell(n, k)
+    assert again is cached if k <= n else again == cached == YPolynomial()
     assert cached == partial_bell.__wrapped__(n, k)
 
 
@@ -444,14 +446,47 @@ def test_modified_partial_bell_vanishes_before_any_check_or_cache():
         modified_partial_bell(3, 2, 1, -1)
 
 
+def test_partial_bell_vanishes_before_any_check_or_cache():
+    # outside 0 <= k <= n the value is zero at any weight, under any cap, as it
+    # is for modified_partial_bell at r = s = 0
+    before = partial_bell.cache_info()
+    for args in [(70, 71), (-1, 0), (3, -1), (100, 101)]:
+        assert partial_bell(*args, cap=0) == YPolynomial()
+    after = partial_bell.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_partial_bell_agrees_with_the_modified_form_at_r_and_s_zero():
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except CapExceeded:
+            return CapExceeded
+
+    grid = [(n, k) for n in range(-2, 15) for k in range(-2, 17)]
+    for n, k in grid + [(70, 71), (70, 2), (-1, 70)]:
+        expected = outcome(modified_partial_bell, n, k, 0, 0)
+        assert outcome(partial_bell, n, k) == expected, (n, k)
+
+
+def test_modified_stirling_vanishes_outside_its_support_under_any_cap():
+    for args in [(70, 71, 0), (70, 2, 5), (3, 2, -1), (-1, 0, 0)]:
+        assert modified_stirling(*args) == modified_stirling(*args, cap=0) == 0
+    with pytest.raises(CapExceeded, match=r"^modified_stirling reaches weight 65 > cap 64$"):
+        modified_stirling(65, 1, 0)
+
+
 def test_verify_builds_each_modified_bell_polynomial_once():
     # a clockless work pin: the Bell suites of verify (7, 3, 50) call
     # modified_partial_bell 4,636 times on 480 in-range argument sets; the
-    # 336 calls with r = -1 are out of range and answered before the cache
+    # 336 calls with r = -1 are out of range and answered before the cache.
+    # partial_bell is called 3,600 times, all inside 0 <= k <= n, on 36 sets
+    partial_bell.cache_clear()
     modified_partial_bell.cache_clear()
     report = verification.run_all(max_n=7, max_s=3, seed=0, trials=50)
     assert report["passed"] is True
     assert modified_partial_bell.cache_info().misses == 480
+    assert partial_bell.cache_info()[:2] == (3564, 36)  # hits, misses
 
 
 def test_verify_pins_the_sparse_ring_work(monkeypatch):

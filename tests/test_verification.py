@@ -634,3 +634,21 @@ def test_every_suite_that_can_fail_has_a_fault_that_fails_it():
 def test_a_negative_bound_is_refused():
     with pytest.raises(ValueError, match="^bounds must be non-negative$"):
         verification.run_all(-1, 0)
+
+
+@pytest.mark.parametrize("key", [key for key, _statement, _runner, _info in verification.SUITES])
+def test_a_suite_builds_no_partition_heavier_than_the_cap(monkeypatch, key):
+    # every suite runs under the run's cap; the count suite walks past max_n by
+    # its own choice, so its bound is clipped to the cap instead of refused
+    heaviest = [0]
+    make = partitions.Partition._make.__func__
+
+    def weighed(cls, parts, *items):
+        heaviest[0] = max(heaviest[0], sum(parts))
+        return make(cls, parts, *items)
+
+    monkeypatch.setattr(partitions.Partition, "_make", classmethod(weighed))
+    only_suite(monkeypatch, key)
+    report = verification.run_all(max_n=7, max_s=0, seed=0, trials=5, cap=10)
+    assert report["passed"] is True
+    assert heaviest[0] <= 10
