@@ -4,6 +4,11 @@ Every polynomial here is anchored to its defining sum over partitions (with
 the coefficients from :mod:`faadibruno.coefficients`); the numbers take their
 closed forms.  The identities relating the objects are exercised by the test
 suite and the `verify` subcommand, never assumed.
+
+The six Bell polynomials share one front: each is zero outside 0 <= r <= k <= n
+(r = s = 0 for the classical partial form, k = r = n for the complete forms) and
+refuses its weight n + r*s above the keyword-only ``cap``, under its own name,
+before any walk or cache.
 """
 
 from __future__ import annotations
@@ -73,108 +78,93 @@ class YPolynomial(SparsePolynomial):
         return out
 
 
-def _capped_cache(weight):
-    """Memoize body(*args) and refuse weight(*args) > cap before the cache is consulted.
-
-    Where weight is None the value vanishes: zero, before any check or cache.
-    The cap is not part of the key: every cap that admits a value shares its
-    entry, so the body enumerates with its own weight as the cap.  The front
-    keeps ``cache_info``/``cache_clear``; ``__wrapped__`` is the uncached body.
-    """
-
-    def decorate(body):
-        cached = lru_cache(maxsize=None)(body)
-
-        @wraps(body)
-        def front(*args: int, cap: int = DEFAULT_WEIGHT_CAP):
-            if (reached := weight(*args)) is None:
-                return YPolynomial()
-            CapExceeded.check(reached, cap, body.__name__)
-            return cached(*args)
-
-        front.cache_info = cached.cache_info
-        front.cache_clear = cached.cache_clear
-        return front
-
-    return decorate
-
-
-@_capped_cache(lambda n, k: n if 0 <= k <= n else None)
-def partial_bell(n: int, k: int) -> YPolynomial:
-    """Classical partial Bell polynomial: chain-rule coefficients of partitions of n with k parts.
-
-    Zero where 0 <= k <= n fails, under any ``cap``; otherwise CapExceeded when n > cap.
-    """
-    return YPolynomial(
-        (lam.items(), faa_di_bruno_coeff(lam))
-        for lam in enumerate_constrained(n, 0, 0, cap=n, length=k)
-    )
-
-
-def complete_bell(n: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
-    return YPolynomial(term for k in range(n + 1) for term in partial_bell(n, k, cap=cap))
-
-
 def _modified_weight(n: int, k: int, r: int, s: int) -> int | None:
     if s < 0:
         raise ValueError("s must be non-negative")
     return n + r * s if 0 <= r <= k <= n else None
 
 
-@_capped_cache(_modified_weight)
+def _front(weight):
+    """Zero body(*args) where weight(*args) is None, under any cap; refuse a weight above
+    ``cap`` under the body's own name; only then call the body, which enumerates with
+    its own weight as the cap.
+
+    Under an ``lru_cache`` the cap is not part of the key, so every cap that admits a
+    value shares its entry and nothing zero or refused is cached; the front keeps
+    ``cache_info``/``cache_clear``, and ``__wrapped__`` is the uncached body.
+    """
+
+    def decorate(body):
+        @wraps(body)
+        def front(*args: int, cap: int = DEFAULT_WEIGHT_CAP):
+            if (reached := weight(*args)) is None:
+                return YPolynomial()
+            CapExceeded.check(reached, cap, body.__name__)
+            return body(*args)
+
+        for attr in ("cache_info", "cache_clear", "__wrapped__"):
+            if hasattr(body, attr):
+                setattr(front, attr, getattr(body, attr))
+        return front
+
+    return decorate
+
+
+@_front(lambda n, k: _modified_weight(n, k, 0, 0))
+@lru_cache(maxsize=None)
+def partial_bell(n: int, k: int) -> YPolynomial:
+    """Classical partial Bell polynomial: chain-rule coefficients of the partitions
+    of n with k parts."""
+    return YPolynomial(
+        (lam.items(), faa_di_bruno_coeff(lam))
+        for lam in enumerate_constrained(n, 0, 0, cap=n, length=k)
+    )
+
+
+@_front(lambda n: _modified_weight(n, n, n, 0))
+def complete_bell(n: int) -> YPolynomial:
+    return YPolynomial(term for k in range(n + 1) for term in partial_bell(n, k, cap=n))
+
+
+@_front(_modified_weight)
+@lru_cache(maxsize=None)
 def modified_partial_bell(n: int, k: int, r: int, s: int) -> YPolynomial:
     """Sum of C(lam, r, s) * prod y_i^m_i over lam of weight n + r*s and length k
-    with at least r parts greater than s.
-
-    Zero where 0 <= r <= k <= n fails, under any ``cap``; otherwise CapExceeded
-    when n + r*s > cap, and every term has degree k and weighted degree n + r*s.
+    with at least r parts greater than s: every term has degree k and weighted
+    degree n + r*s.
     """
     return YPolynomial(
         (lam.items(), c) for lam, c in constrained_coefficients(n, r, s, cap=n + r * s, length=k)
     )
 
 
-def modified_complete_bell(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
+@_front(lambda n, s: _modified_weight(n, n, n, s))
+def modified_complete_bell(n: int, s: int) -> YPolynomial:
     """Sum of modified_partial_bell(n, k, r, s) over 0 <= r <= k <= n: the coefficient
-    table (n, s) read as a polynomial, since no summed partition has more than n
-    parts.  The table refuses n + n*s > cap before any walk.
+    table (n, s) read as a polynomial, since no summed partition has more than n parts.
     """
-    if s < 0:
-        raise ValueError("s must be non-negative")
-    if n < 0:
-        return YPolynomial()
-    return YPolynomial((lam.items(), c) for _r, lam, c in coefficient_table(n, s, cap=cap))
+    return YPolynomial((lam.items(), c) for _r, lam, c in coefficient_table(n, s, cap=n + n * s))
 
 
-def product_form_partial(
-    n: int, k: int, r: int, s: int, cap: int = DEFAULT_WEIGHT_CAP
-) -> YPolynomial:
+@_front(_modified_weight)
+def product_form_partial(n: int, k: int, r: int, s: int) -> YPolynomial:
     """Binomial convolution of two classical Bell polynomials, the second with
-    its variables shifted up by s.  Contract: equals modified_partial_bell(n, k, r, s),
-    and refuses the same weight n + r*s above cap.
+    its variables shifted up by s.  Contract: equals modified_partial_bell(n, k, r, s).
     """
-    reached = _modified_weight(n, k, r, s)
-    if reached is None:
-        return YPolynomial()
-    CapExceeded.check(reached, cap, "product_form_partial")
     return YPolynomial(
         (exps, comb(n, p) * c)
         for p in range(r, n - k + r + 1)
-        for exps, c in partial_bell(n - p, k - r, cap=cap)
-        * partial_bell(p, r, cap=cap).shift_vars(s)
+        for exps, c in partial_bell(n - p, k - r, cap=n) * partial_bell(p, r, cap=n).shift_vars(s)
     )
 
 
-def product_form_complete(n: int, s: int, cap: int = DEFAULT_WEIGHT_CAP) -> YPolynomial:
-    """Binomial convolution of complete Bell polynomials; equals modified_complete_bell,
-    and refuses the same weight n + n*s above cap.
-    """
-    if n >= 0:
-        CapExceeded.check(n + n * s, cap, "product_form_complete")
+@_front(lambda n, s: _modified_weight(n, n, n, s))
+def product_form_complete(n: int, s: int) -> YPolynomial:
+    """Binomial convolution of complete Bell polynomials; equals modified_complete_bell."""
     return YPolynomial(
         (exps, comb(n, p) * c)
         for p in range(n + 1)
-        for exps, c in complete_bell(n - p, cap=cap) * complete_bell(p, cap=cap).shift_vars(s)
+        for exps, c in complete_bell(n - p, cap=n) * complete_bell(p, cap=n).shift_vars(s)
     )
 
 

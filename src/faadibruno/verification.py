@@ -660,6 +660,8 @@ def run_all(
     """Run every identity suite at the given bounds and assemble the report."""
     if max_n < 0 or max_s < 0:
         raise ValueError("bounds must be non-negative")
+    # the (max_n, max_s) coefficient table is the heaviest thing any suite builds
+    CapExceeded.check(max_n + max_n * max_s, cap, f"verify (max_n={max_n}, max_s={max_s})")
     results = []
     for key, statement, runner, informational in SUITES:
         rng = random.Random(f"{seed}:{key}")

@@ -2,7 +2,8 @@
 the rule that each of them, and each public top-level name of every module, is used
 somewhere inside the package, the rule that no layer module reads another layer's
 private names, the rule that a function taking ``cap`` passes it to every package call
-that takes it, and the rule that no line of the package or its tests is over 100 columns."""
+that takes it, the pinned list of the places that refuse a weight above the cap, and
+the rule that no line of the package or its tests is over 100 columns."""
 
 import ast
 import importlib
@@ -438,7 +439,7 @@ def cap_positions(trees):
     method in *trees* that takes it; None where it is passed by keyword only.
 
     A method's position leaves out self or cls.  A function wrapped by
-    ``_capped_cache`` takes the front's keyword ``cap``.
+    ``_front`` takes the front's keyword ``cap``.
     """
     positions = {}
 
@@ -453,7 +454,7 @@ def cap_positions(trees):
                 if "cap" in positional:
                     shift = bound and "staticmethod" not in decorators
                     positions[node.name] = positional.index("cap") - shift
-                elif "_capped_cache" in decorators or _takes_cap(node):
+                elif "_front" in decorators or _takes_cap(node):
                     positions[node.name] = None
                 visit(node.body, False)
 
@@ -493,7 +494,7 @@ def test_dropped_cap_rule_on_a_synthetic_source():
     tree = ast.parse(
         "def walk(n, cap=64):\n"
         "    return n\n"
-        "@_capped_cache(lambda n: n)\n"
+        "@_front(lambda n: n)\n"
         "def front(n):\n"
         "    return n\n"
         "class Gate:\n"
@@ -524,6 +525,76 @@ def test_a_function_that_takes_cap_passes_it_on():
     package = Path(faadibruno.__file__).parent
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
     assert dropped_caps(modules) == []
+
+
+def refusal_points(modules):
+    """module.name for each top-level function or method of *modules* (name -> tree)
+    whose body, nested functions included, calls ``CapExceeded.check``."""
+    found = []
+    for module, tree in modules.items():
+        functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [
+            (f"{owner.name}.{node.name}", node)
+            for owner in tree.body
+            if isinstance(owner, ast.ClassDef)
+            for node in owner.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for name, fn in functions:
+            if any(
+                isinstance(call, ast.Call)
+                and getattr(call.func, "attr", None) == "check"
+                and getattr(call.func.value, "id", None) == "CapExceeded"
+                for call in ast.walk(fn)
+            ):
+                found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_refusal_point_rule_on_a_synthetic_source():
+    tree = ast.parse(
+        "def direct(n, cap):\n"
+        "    CapExceeded.check(n, cap, 'direct')\n"
+        "def factory(weight):\n"
+        "    def decorate(body):\n"
+        "        def front(*args, cap=64):\n"
+        "            CapExceeded.check(weight(*args), cap, body.__name__)\n"
+        "        return front\n"
+        "    return decorate\n"
+        "class Table:\n"
+        "    def rows(self, cap):\n"
+        "        CapExceeded.check(self.n, cap, 'table')\n"
+        "    def size(self):\n"
+        "        return self.n\n"
+        "class CapExceeded(ValueError):\n"
+        "    @classmethod\n"
+        "    def check(cls, weight, cap, what):\n"
+        "        return cls.check(weight, cap, what)\n"
+        "def other(n, gate):\n"
+        "    gate.check(n)\n"
+        "    return CapExceeded\n"
+    )
+    assert refusal_points({"m": tree}) == ["m.Table.rows", "m.direct", "m.factory"]
+
+
+def test_the_refusal_points_are_pinned():
+    # a new place that refuses a weight above the cap is a reviewed edit, not a silent copy
+    package = Path(faadibruno.__file__).parent
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert refusal_points(modules) == [
+        "bell._front",
+        "bell.modified_stirling",
+        "bell.stirling_table",
+        "cli._cmd_partitions",
+        "coefficients.coefficient_table",
+        "diffalg.faa_expansion",
+        "diffalg.formula_expansion",
+        "diffalg.leibniz_product_expansion",
+        "diffalg.nth_derivative_expansion",
+        "partitions.enumerate_constrained",
+        "partitions.enumerate_partitions",
+        "verification.run_all",
+    ]
 
 
 # the modules bench/tracer.py wraps by public name; `sparse` is shared machinery, not a layer
@@ -592,11 +663,11 @@ def test_private_layer_reader_sees_every_import_form():
         "from .sparse import _merge\n"
         "from .partitions import Partition as P, enumerate_partitions\n"
         "from .sparse import Sparse\n"
-        "sf._newton_residuals(bell._capped_cache, c._HANDLERS, sf.__name__)\n"
+        "sf._newton_residuals(bell._front, c._HANDLERS, sf.__name__)\n"
         "P._make(enumerate_partitions._cache, P.__new__, Sparse._merge)\n"
     )
     assert sorted(private_layer_reads(source)) == [
-        "bell._capped_cache",
+        "bell._front",
         "cli._HANDLERS",
         "diffalg._SEED",
         "partitions.Partition._make",

@@ -399,6 +399,8 @@ def test_cached_partial_bell_survives_use_as_operand(n, k, a, factor):
     # only a value inside 0 <= k <= n is cached; the zero outside is built afresh
     again = partial_bell(n, k)
     assert again is cached if k <= n else again == cached == YPolynomial()
+    # __wrapped__ is the uncached body under the front, so this compares with a fresh build
+    assert not hasattr(partial_bell.__wrapped__, "cache_info")
     assert cached == partial_bell.__wrapped__(n, k)
 
 
@@ -432,6 +434,7 @@ def test_modified_partial_bell_checks_its_cap_before_its_cache():
     raised = modified_partial_bell(9, 4, 2, 3, cap=100)
     assert modified_partial_bell(9, 4, 2, 3, cap=15) is raised is modified_partial_bell(9, 4, 2, 3)
     assert modified_partial_bell.cache_info().currsize <= before + 1
+    assert not hasattr(modified_partial_bell.__wrapped__, "cache_info")
     assert raised == modified_partial_bell.__wrapped__(9, 4, 2, 3)
 
 
@@ -489,6 +492,20 @@ def test_verify_builds_each_modified_bell_polynomial_once():
     assert partial_bell.cache_info()[:2] == (3564, 36)  # hits, misses
 
 
+def test_verify_misses_each_bell_cache_once_per_key_in_the_support():
+    # a work law over a grid: the Bell suites build modified_partial_bell on every
+    # 0 <= r <= k <= n <= max_n and s <= max_s, and partial_bell on every
+    # 0 <= k <= n <= max_n; nothing out of the support or refused reaches a cache
+    for max_n in range(7):
+        for max_s in range(4):
+            partial_bell.cache_clear()
+            modified_partial_bell.cache_clear()
+            report = verification.run_all(max_n, max_s, seed=0, trials=0)
+            assert report["passed"] is True
+            misses = (modified_partial_bell.cache_info().misses, partial_bell.cache_info().misses)
+            assert misses == ((max_s + 1) * comb(max_n + 3, 3), comb(max_n + 2, 2)), (max_n, max_s)
+
+
 def test_verify_pins_the_sparse_ring_work(monkeypatch):
     # a clockless work pin on the ring that the y and the F, G, Y polynomials share:
     # with the Bell caches cleared, verify (7, 3, 50) makes 55 sums, no difference
@@ -533,27 +550,53 @@ def test_stirling_table_never_enumerates_partitions(monkeypatch):
 
 
 def test_product_forms_refuse_what_the_definitions_refuse():
-    with pytest.raises(CapExceeded):
-        modified_complete_bell(3, 0, cap=1)
-    with pytest.raises(CapExceeded):
-        product_form_complete(3, 0, cap=1)
-    for cap in range(8):
-        for n in range(5):
-            for s in range(3):
-                pairs = [(modified_complete_bell, product_form_complete, (n, s))]
-                pairs += [
-                    (modified_partial_bell, product_form_partial, (n, k, r, s))
-                    for k in range(-1, n + 2)
-                    for r in range(-1, k + 2)
-                ]
-                for definition, product_form, args in pairs:
-                    outcomes = []
-                    for f in (definition, product_form):
-                        try:
-                            outcomes.append(f(*args, cap=cap))
-                        except CapExceeded:
-                            outcomes.append(CapExceeded)
-                    assert outcomes[0] == outcomes[1], (definition.__name__, args, cap)
+    # each product form and its twin give one outcome: equal polynomials, both
+    # zero, both CapExceeded, or the same ValueError
+    def outcome(f, args, cap):
+        try:
+            return f(*args, cap=cap)
+        except CapExceeded:
+            return CapExceeded
+        except ValueError as exc:
+            return ValueError, str(exc)
+
+    pairs = [
+        (modified_partial_bell, product_form_partial, (n, k, r, s))
+        for n in range(-2, 9)
+        for k in range(-2, n + 3)
+        for r in range(-2, k + 3)
+        for s in range(-1, 4)
+    ]
+    pairs += [
+        (modified_complete_bell, product_form_complete, (n, s))
+        for n in range(-2, 9)
+        for s in range(-1, 4)
+    ]
+    assert len(pairs) == 3190
+    for cap in (0, 3, 10, 64):
+        for definition, product_form, args in pairs:
+            expected = outcome(definition, args, cap)
+            assert outcome(product_form, args, cap) == expected, (product_form.__name__, args, cap)
+
+
+def test_each_front_refuses_under_its_own_name_and_takes_cap_by_keyword():
+    with pytest.raises(CapExceeded, match=r"^modified_complete_bell reaches weight 200 > cap 64$"):
+        modified_complete_bell(40, 4)
+    fronts = [
+        (partial_bell, (9, 4), 9),
+        (complete_bell, (9,), 9),
+        (modified_partial_bell, (9, 4, 2, 3), 15),
+        (modified_complete_bell, (4, 2), 12),
+        (product_form_partial, (9, 4, 2, 3), 15),
+        (product_form_complete, (4, 2), 12),
+    ]
+    for f, args, weight in fronts:
+        message = rf"^{f.__name__} reaches weight {weight} > cap {weight - 1}$"
+        with pytest.raises(CapExceeded, match=message):
+            f(*args, cap=weight - 1)
+        assert f(*args, cap=weight) == f(*args)
+        with pytest.raises(TypeError):
+            f(*args, weight)
 
 
 def test_a_negative_shift_or_table_bound_is_refused():

@@ -602,6 +602,15 @@ def test_polynomial_csv_is_refused_before_any_work(argv, message, monkeypatch, c
     assert (captured.out, captured.err) == ("", message)
 
 
+def test_verify_past_its_cap_is_refused_before_any_suite():
+    start = time.perf_counter()
+    proc = run_cli("verify", "--max-n", "20", "--max-s", "2", "--cap", "59", expect=2)
+    elapsed = time.perf_counter() - start
+    message = "error: verify (max_n=20, max_s=2) reaches weight 60 > cap 59\n"
+    assert (proc.stdout, proc.stderr) == ("", message)
+    assert elapsed < 1.0  # every suite would take seconds
+
+
 def test_over_cap_csv_expansion_stderr_is_pinned():
     proc = run_cli("expand", "--n", "70", "--format", "csv", expect=2)
     assert (proc.stdout, proc.stderr) == ("", "csv output is not defined for expansions\n")

@@ -12,7 +12,7 @@ from faadibruno import (
     verification,
 )
 from faadibruno.coefficients import IntegralityError, coefficient_table
-from faadibruno.partitions import DEFAULT_WEIGHT_CAP
+from faadibruno.partitions import DEFAULT_WEIGHT_CAP, CapExceeded
 
 
 def only_suite(monkeypatch, key):
@@ -634,6 +634,19 @@ def test_every_suite_that_can_fail_has_a_fault_that_fails_it():
 def test_a_negative_bound_is_refused():
     with pytest.raises(ValueError, match="^bounds must be non-negative$"):
         verification.run_all(-1, 0)
+
+
+def test_bounds_past_the_cap_are_refused_before_the_first_suite(monkeypatch):
+    # the (max_n, max_s) coefficient table is the heaviest thing a suite builds
+    def runner(*args):
+        raise AssertionError("no suite runs when the bounds pass the cap")
+
+    monkeypatch.setattr(verification, "SUITES", (("any", "statement", runner, False),))
+    message = r"^verify \(max_n=12, max_s=0\) reaches weight 12 > cap 10$"
+    with pytest.raises(CapExceeded, match=message):
+        verification.run_all(12, 0, cap=10)
+    monkeypatch.setattr(verification, "SUITES", ())
+    assert verification.run_all(5, 1, cap=10)["passed"] is True  # weight 10 fits
 
 
 @pytest.mark.parametrize("key", [key for key, _statement, _runner, _info in verification.SUITES])
