@@ -303,24 +303,20 @@ def _emit_polynomial(poly, header: dict, item, args) -> int:
 
 
 def _cmd_coeff(args) -> int:
-    from .coefficients import CrossCheckError, coefficient_table
+    from .coefficients import coefficient_table
     n, s = args.n, args.s
     item = '\n    {{\n      "r": {},\n      "parts": {},\n      "coeff": "{}"\n    }}'.format
-    try:
-        return _emit_rows(
-            coefficient_table(n, s, verify=args.verify, cap=args.cap),
-            args,
-            frame=lambda items: {"n": n, "s": s, "entries": items},
-            json=lambda e: item(e[0], _json_field(e[1].parts), e[2]),
-            csv=lambda e: f"{e[0]},{' '.join(map(str, e[1].parts))},{e[2]}\n",
-            pretty=lambda e: f"  r={e[0]}  {'+'.join(map(str, e[1].parts)) or '0':<18} {e[2]}\n",
-            latex=lambda e: f"{e[0]} & ({', '.join(map(str, e[1].parts))}) & {e[2]} \\\\\n",
-            title=(f"n={n} s={s}",),
-            tabular=(r"\begin{tabular}{rll}", r"$r$ & $\lambda$ & $C$ \\ \hline"),
-        )
-    except CrossCheckError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
+    return _emit_rows(
+        coefficient_table(n, s, verify=args.verify, cap=args.cap),
+        args,
+        frame=lambda items: {"n": n, "s": s, "entries": items},
+        json=lambda e: item(e[0], _json_field(e[1].parts), e[2]),
+        csv=lambda e: f"{e[0]},{' '.join(map(str, e[1].parts))},{e[2]}\n",
+        pretty=lambda e: f"  r={e[0]}  {'+'.join(map(str, e[1].parts)) or '0':<18} {e[2]}\n",
+        latex=lambda e: f"{e[0]} & ({', '.join(map(str, e[1].parts))}) & {e[2]} \\\\\n",
+        title=(f"n={n} s={s}",),
+        tabular=(r"\begin{tabular}{rll}", r"$r$ & $\lambda$ & $C$ \\ \hline"),
+    )
 
 
 def _cmd_expand(args) -> int:
@@ -388,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, OverflowError, RecursionError) as exc:  # CapExceeded: a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a CrossCheckError or IntegralityError: an identity failed
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2

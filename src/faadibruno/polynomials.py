@@ -2,7 +2,8 @@
 
 With f, g, phi taken to be polynomials, every derivative exists and both sides
 of the expansion theorem are honest polynomials in t that can be compared
-coefficient by coefficient with zero tolerance.
+coefficient by coefficient with zero tolerance.  The right side is summed from
+coefficient-table rows, so no code is shared with the symbolic oracle, diffalg.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cache, partial
 from math import gcd, lcm
 from typing import Iterable, Iterator, Union
 
-from .diffalg import DiffPolynomial, formula_expansion
+from .coefficients import coefficient_table
 from .partitions import DEFAULT_WEIGHT_CAP
 
 
@@ -143,8 +144,9 @@ class RationalPolynomial:
 class FormulaInstantiator:
     """Evaluates formula expansions on one concrete triple (f, g, phi), at every shift s.
 
-    An expansion at shift s is sum c * F_a * G_b * Y(y), with F_a = f^(a) o phi,
-    G_b = g^(b) o phi^(s) and Y(y) = prod (phi^(i))^e.  Each operand is built on
+    An expansion at shift s is sum C * F_a * G_b * Y(y) over table rows (r, lam, C),
+    with a = len(lam) - r, b = r, y = lam.items(), F_a = f^(a) o phi, G_b =
+    g^(b) o phi^(s) and Y(y) = prod (phi^(i))^e.  Each operand is built on
     first use and kept for every later expansion: F_a per a, G_b per (s, b),
     F_a * G_b per (s, a, b), Y(y) per y, and the powers of phi^(i) that the
     compositions combine.
@@ -171,14 +173,12 @@ class FormulaInstantiator:
 
         self._y = y_at
 
-    def expansion_value(self, expansion: DiffPolynomial, s: int) -> RationalPolynomial:
-        """The expansion at shift s, grouped by y-part or by (a, b): whichever has fewer."""
+    def expansion_value(self, rows: Iterable[tuple], s: int) -> RationalPolynomial:
+        """The rows (r, lam, C) at shift s, grouped by y-part or by (a, b): whichever has fewer."""
         df, dg, dphi = self._degrees
         by_y, by_ab = {}, {}  # y -> [(c, (a, b)), ...] and (a, b) -> [(c, y), ...]
-        for mono, coeff in expansion:
-            if mono.z:
-                raise ValueError("psi symbols cannot be instantiated here")
-            a, b, y = mono.f_order, mono.g_order, mono.y
+        for r, lam, coeff in rows:
+            a, b, y = lam.length - r, r, lam.items()
             # past its degree a polynomial's derivative vanishes; y ascends by index
             if a > df or b > dg or (y and y[-1][0] > dphi):
                 continue
@@ -208,10 +208,10 @@ def check_main_theorem(
     Returns a JSON-ready report; on disagreement it includes the
     coefficient-wise difference.
     """
-    # the expansion checks its arguments and the cap, so it comes before any concrete work
-    expansion = formula_expansion(n, s, cap=cap)
+    # the table checks its arguments and the cap at the call, before any concrete work
+    rows = coefficient_table(n, s, cap=cap)
     lhs = (f.compose(phi) * g.compose(phi.derivative(s))).derivative(n)
-    rhs = FormulaInstantiator(f, g, phi).expansion_value(expansion, s)
+    rhs = FormulaInstantiator(f, g, phi).expansion_value(rows, s)
     report = {
         "n": n,
         "s": s,
@@ -247,8 +247,8 @@ def random_instances(
     One item per (trial, s, n), in that order: None, or a witness where the sides differ.
     """
     rng = random.Random(seed)
-    expansions = {
-        (n, s): formula_expansion(n, s, cap=cap)
+    tables = {
+        (n, s): tuple(coefficient_table(n, s, cap=cap))
         for s in range(max_s + 1)
         for n in range(max_n + 1)
     }
@@ -260,7 +260,7 @@ def random_instances(
         for s in range(max_s + 1):
             lhs = f.compose(phi) * g.compose(phi.derivative(s))
             for n in range(max_n + 1):
-                ok = lhs == inst.expansion_value(expansions[(n, s)], s)
+                ok = lhs == inst.expansion_value(tables[(n, s)], s)
                 yield None if ok else {
                     "trial": trial,
                     "n": n,

@@ -162,7 +162,7 @@ def _check_union_shift(max_n, max_s, rng, trials, cap):
         counts = dict(mu.items())
         for nu in pool:
             if mu.weight + nu.weight > max_n:
-                continue
+                break  # the pool ascends by weight: every later partner is heavier
             both = mu.union(nu)
             added = {i: counts.get(i, 0) + c for i, c in nu.items()}
             ok = (

@@ -2,8 +2,9 @@
 the rule that each of them, and each public top-level name of every module, is used
 somewhere inside the package, the rule that no layer module reads another layer's
 private names, the rule that a function taking ``cap`` passes it to every package call
-that takes it, the pinned list of the places that refuse a weight above the cap, and
-the rule that no line of the package or its tests is over 100 columns."""
+that takes it, the pinned list of the places that refuse a weight above the cap, the
+pinned package imports of each module, and the rule that no line of the package or its
+tests is over 100 columns."""
 
 import ast
 import importlib
@@ -684,6 +685,73 @@ def test_no_module_reads_a_private_name_of_another_layer():
         for path in sorted(package.glob("*.py"))
     }
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+def package_imports(modules):
+    """module -> the sorted package modules that *modules* (name -> tree) imports,
+    at the top or inside a function, by any static import form."""
+    found = {}
+    for module, tree in modules.items():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _imported_layer(node) == "":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and _imported_layer(node):
+                names.add(_imported_layer(node).partition(".")[0])
+            elif isinstance(node, ast.Import):
+                names.update(
+                    alias.name.split(".")[1]
+                    for alias in node.names
+                    if alias.name.startswith("faadibruno.")
+                )
+        found[module] = sorted(names)
+    return found
+
+
+def test_package_import_rule_on_a_synthetic_source():
+    tree = ast.parse(
+        "import os\n"
+        "from . import symfunc as sf, bell\n"
+        "from .partitions import Partition\n"
+        "from faadibruno.diffalg import derive\n"
+        "import faadibruno.cli as c\n"
+        "from .sparse.inner import x\n"
+        "from math import comb\n"
+        "def handler():\n"
+        "    from .polynomials import check_main_theorem\n"
+    )
+    assert package_imports({"m": tree, "empty": ast.parse("import json\n")}) == {
+        "m": ["bell", "cli", "diffalg", "partitions", "polynomials", "sparse", "symfunc"],
+        "empty": [],
+    }
+
+
+def test_the_package_imports_are_pinned():
+    # the two expansion oracles share no module: polynomials reads the coefficient
+    # table, diffalg builds symbolic polynomials; a new edge is a reviewed edit
+    package = Path(faadibruno.__file__).parent
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert package_imports(modules) == {
+        "__init__": [],
+        "__main__": ["cli"],
+        "bell": ["coefficients", "partitions", "sparse"],
+        "cli": ["bell", "coefficients", "diffalg", "partitions", "polynomials", "verification"],
+        "coefficients": ["partitions", "symfunc"],
+        "diffalg": ["coefficients", "partitions", "sparse"],
+        "partitions": [],
+        "polynomials": ["coefficients", "partitions"],
+        "sparse": [],
+        "symfunc": ["partitions"],
+        "verification": [
+            "bell",
+            "coefficients",
+            "diffalg",
+            "partitions",
+            "polynomials",
+            "sparse",
+            "symfunc",
+        ],
+    }
 
 
 def test_no_line_is_longer_than_100_columns():

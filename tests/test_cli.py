@@ -651,7 +651,7 @@ EVERY_MODULE = {p.stem for p in Path(SRC, "faadibruno").glob("*.py")} - {"__init
         (["stirling", "--n-max", "3"], loaded(*TABLE, "bell", "sparse"), False),
         (
             ["check", "--f", "1,2", "--g", "1", "--phi", "0,1", "--n", "2"],
-            loaded(*TABLE, "diffalg", "polynomials", "sparse"),
+            loaded(*TABLE, "polynomials"),
             True,
         ),
         (["verify", "--max-n", "1", "--max-s", "0", "--trials", "1"], loaded(*EVERY_MODULE), True),
@@ -742,6 +742,26 @@ def test_verified_coeff_mismatch_leaves_the_rows_already_checked(monkeypatch):
     whole = json.dumps({**document, "entries": entries}, indent=2, ensure_ascii=False)
     assert whole.endswith("\n  ]\n}")
     assert failed["json"].decode("utf-8") == whole[: -len("\n  ]\n}")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeff", "--n", "2", "--s", "1"],
+        ["expand", "--n", "2", "--s", "1"],
+        ["check", "--f", "0,0,1", "--g", "0,1", "--phi", "0,0,1", "--n", "2", "--s", "1"],
+    ],
+)
+def test_a_non_integral_coefficient_is_one_verification_failure(monkeypatch, argv):
+    # the fold's integrality check, raised from the coefficient walk under every
+    # command that reads the table: exit 1 and one stderr line, no traceback
+    def not_integral(n, r, s, cap):
+        raise coefficients.IntegralityError(f"C(r={r}, s={s}) is not an integer at n={n}")
+        yield
+
+    monkeypatch.setattr(coefficients, "constrained_coefficients", not_integral)
+    code, _stdout, stderr = run_main([*argv, "--format", "json"])
+    assert (code, stderr) == (1, "verification failure: C(r=0, s=1) is not an integer at n=2\n")
 
 
 @pytest.mark.parametrize(
@@ -997,7 +1017,7 @@ def test_check_refuses_an_over_cap_order_before_any_work(order):
     code, stdout, stderr = run_main(["check", "--f", "0,1", "--g", "1", "--phi", "0,1", *order])
     assert time.perf_counter() - start < 1.0
     assert (code, stdout) == (2, b"")
-    assert stderr.startswith("error: formula expansion (n=") and stderr.endswith(" > cap 64\n")
+    assert stderr.startswith("error: table (n=") and stderr.endswith(" > cap 64\n")
     assert stderr.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -9,12 +10,9 @@ from hypothesis import strategies as st
 
 from faadibruno import polynomials, verification
 from faadibruno.cli import main
-from faadibruno.diffalg import (
-    DiffPolynomial,
-    formula_expansion,
-    leibniz_product_expansion,
-    monomial,
-)
+from faadibruno.coefficients import coefficient_table
+from faadibruno.diffalg import formula_expansion
+from faadibruno.partitions import Partition
 from faadibruno.polynomials import (
     FormulaInstantiator,
     RationalPolynomial,
@@ -201,9 +199,8 @@ def test_expansion_at_edge_degrees(f, g, phi):
     for s in range(3):
         for n in range(5):
             assert check_main_theorem(f, g, phi, n, s)["equal"]
-            expansion = formula_expansion(n, s)
-            value = inst.expansion_value(expansion, s)
-            assert value == expansion_value_by_terms(expansion, s, f, g, phi)
+            value = inst.expansion_value(coefficient_table(n, s), s)
+            assert value == expansion_value_by_terms(formula_expansion(n, s), s, f, g, phi)
 
 
 def test_one_instance_per_triple_matches_the_term_by_term_sum():
@@ -216,16 +213,9 @@ def test_one_instance_per_triple_matches_the_term_by_term_sum():
         inst = FormulaInstantiator(f, g, phi)
         for s in (2, 0, 1):
             for n in range(6):
-                expansion = formula_expansion(n, s)
-                value = inst.expansion_value(expansion, s)
+                value = inst.expansion_value(coefficient_table(n, s), s)
                 assert_canonical(value)
-                assert value == expansion_value_by_terms(expansion, s, f, g, phi)
-
-
-def test_psi_expansions_are_refused():
-    inst = FormulaInstantiator(P(1, 1), P(2, 1), P(0, 1, 1))
-    with pytest.raises(ValueError, match="psi symbols cannot be instantiated here"):
-        inst.expansion_value(leibniz_product_expansion(1), 0)
+                assert value == expansion_value_by_terms(formula_expansion(n, s), s, f, g, phi)
 
 
 def test_concrete_oracle_products_at_the_benchmark_grid(products, monkeypatch):
@@ -370,33 +360,31 @@ def test_product_with_zero_is_the_canonical_zero():
 
 
 def test_sums_grouped_by_orders_read_the_empty_y_part_as_one():
-    # one (a, b) class against three y classes, so each class sums over its y
-    # parts, and the term F_0 G_0 asks for Y(()) = 1
+    # two (a, b) classes against three y classes, so each class sums over its y
+    # parts, and the row of the empty partition, F_0 G_0, asks for Y(()) = 1
     f, g = RationalPolynomial([1, 2, 3]), RationalPolynomial([2, 1])
     phi = RationalPolynomial([0, 1, 1])
-    expansion = DiffPolynomial(
-        {monomial(0, 0): 1, monomial(0, 0, {1: 1}): 2, monomial(0, 0, {2: 1}): 3}
-    )
+    rows = [(0, Partition(()), 1), (0, Partition((1,)), 2), (0, Partition((2,)), 3)]
     inst = FormulaInstantiator(f, g, phi)
     asked, y_at = [], inst._y
     inst._y = lambda y: asked.append(y) or y_at(y)
-    value = inst.expansion_value(expansion, 0)
+    value = inst.expansion_value(rows, 0)
     assert () in asked
-    assert value == RationalPolynomial([18, 53, 137, 223, 229, 149, 63, 12])
-    # F_0 G_0 (1 + 2 phi' + 3 phi''), with phi' = 1 + 2t and phi'' = 2
-    assert value == f.compose(phi) * g.compose(phi) * RationalPolynomial([9, 4])
+    assert value == RationalPolynomial([34, 133, 229, 195, 113, 33, 3])
+    # F_0 G_0 + F_1 G_0 (2 phi' + 3 phi''), with phi' = 1 + 2t and phi'' = 2
+    fg = f.compose(phi) * g.compose(phi)
+    assert value == fg + f.derivative().compose(phi) * g.compose(phi) * RationalPolynomial([8, 4])
 
 
 def test_an_unequal_check_reports_the_difference(monkeypatch, capsysbinary):
-    # the expansion one too high on its first term, in terms() order
-    real = polynomials.formula_expansion
+    # the row (r = 0, lam = (1, 1)) one too high: the term F_2 G_0 phi'^2, first
+    # in the expansion's terms() order
+    real = polynomials.coefficient_table
 
-    def first_term_one_too_high(n, s, cap):
-        poly = real(n, s, cap=cap)
-        (mono, _coeff), *_rest = poly.terms()
-        return poly + DiffPolynomial({mono: 1})
+    def row_one_too_high(n, s, cap):
+        return ((r, lam, c + ((r, lam.parts) == (0, (1, 1)))) for r, lam, c in real(n, s, cap=cap))
 
-    monkeypatch.setattr(polynomials, "formula_expansion", first_term_one_too_high)
+    monkeypatch.setattr(polynomials, "coefficient_table", row_one_too_high)
     triple = [RationalPolynomial(c) for c in ([0, 0, 1], [0, 1], [0, 0, 1])]
     report = check_main_theorem(*triple, 2, 1)
     lhs, rhs = RationalPolynomial(report["lhs"]), RationalPolynomial(report["rhs"])
@@ -407,6 +395,20 @@ def test_an_unequal_check_reports_the_difference(monkeypatch, capsysbinary):
     captured = capsysbinary.readouterr()
     assert captured.out == (json.dumps(report, indent=2, ensure_ascii=False) + "\n").encode()
     assert captured.err == b""
+
+
+def test_a_check_holds_no_expansion_in_memory():
+    # the table streams through the instantiator, which keeps only the rows its
+    # triple can see; at (24, 0) a quadratic triple sees none of them
+    quadratic = RationalPolynomial([1, 2, 3])
+    tracemalloc.start()
+    try:
+        report = check_main_theorem(quadratic, quadratic, quadratic, 24, 0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["equal"] is True
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n, s", [(-1, 0), (0, -1)])

@@ -438,6 +438,15 @@ def _first_term_one_too_high_when(point):
     return fault
 
 
+def _f2_g0_row_one_too_high_at_2_1(real, n, s, cap=DEFAULT_WEIGHT_CAP):
+    # the (2, 1) table's row (r = 0, lam = (1, 1)) one too high: the term F_2 G_0 phi'^2,
+    # first in the expansion's terms() order
+    return (
+        (r, lam, c + ((n, s, r, lam.parts) == (2, 1, 0, (1, 1))))
+        for r, lam, c in real(n, s, cap=cap)
+    )
+
+
 def _first_f_order_one_too_high_at_2_1(real, n, s, cap=DEFAULT_WEIGHT_CAP):
     # the first monomial of the (2, 1) expansion, in terms() order, one F order too high
     poly = real(n, s, cap=cap)
@@ -503,8 +512,8 @@ SINGLE_FAULTS = {
     ),
     "random_polynomial_instances": (
         polynomials,
-        "formula_expansion",
-        _first_term_one_too_high_when(lambda n, s: (n, s) == (2, 1)),
+        "coefficient_table",
+        _f2_g0_row_one_too_high_at_2_1,
         (
             1050,
             25,
@@ -647,6 +656,39 @@ def test_bounds_past_the_cap_are_refused_before_the_first_suite(monkeypatch):
         verification.run_all(12, 0, cap=10)
     monkeypatch.setattr(verification, "SUITES", ())
     assert verification.run_all(5, 1, cap=10)["passed"] is True  # weight 10 fits
+
+
+class CountingPool(list):
+    """A list that counts the items every iteration over it draws."""
+
+    drawn = 0
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.drawn += 1
+            yield item
+
+
+@pytest.mark.parametrize("max_n, max_s", [(7, 3), (12, 1)])
+def test_the_union_suite_draws_no_partner_past_the_first_too_heavy_one(
+    monkeypatch, max_n, max_s
+):
+    # the pool ascends by weight, so each mu reads its fitting partners and at
+    # most one more; the outer loop and the shift loop read the pool once each
+    real = verification._all_partitions_upto
+    pools = []
+
+    def counted(n_max, cap):
+        pools.append(CountingPool(real(n_max, cap)))
+        return pools[-1]
+
+    monkeypatch.setattr(verification, "_all_partitions_upto", counted)
+    only_suite(monkeypatch, "partition_union_shift_parameters")
+    (result,) = verification.run_all(max_n=max_n, max_s=max_s, seed=0, trials=1)["identities"]
+    (pool,) = pools
+    unions = result["instances"] - len(pool) * (max_s + 1)
+    assert result["failures"] == 0
+    assert pool.drawn <= unions + 3 * len(pool)
 
 
 @pytest.mark.parametrize("key", [key for key, _statement, _runner, _info in verification.SUITES])
